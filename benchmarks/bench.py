@@ -5,10 +5,9 @@ Run from the root of a checkout:
     python3 benchmarks/bench.py --workload pipeline-tadistmult --seed 1 --seconds 40 --trace 0
     python3 benchmarks/bench.py --smoke
 
-Each run generates a config from the seed, sets the workload up several times
-(reporting the median set-up time), then repeats one pass of the workload's
-tkgd commands while the next pass fits in --seconds and reports the mean pass
-time.
+Each run generates a config from the seed, then, while the next round fits in
+--seconds, sets the workload up again and runs one pass of its tkgd commands.
+It reports the median set-up time and the mean pass time, both in CPU seconds.
 Every command runs in this one process through tkgd.cli.main, single-threaded,
 with the BLAS thread caps set before NumPy loads.  --trace 1 alternates
 untraced and traced passes and reports the per-layer metrics of tracer.py
@@ -41,6 +40,7 @@ import re
 import resource
 import shutil
 import statistics
+import subprocess
 import sys
 import time
 import traceback
@@ -50,9 +50,9 @@ WORK_ROOT = Path(".bench_work")
 SRC = Path("src")
 # Seed kept out of tuning; a claimed gain must also hold on it.
 HELD_OUT_SEED = 1009
-# Set-up repeats at least this often and for at least this long; setup_s is the median.
-SETUP_REPEATS = 3
-SETUP_MIN_S = 1.0
+# Before every pass, set-up repeats until it has used this much CPU time; setup_s is
+# the median over the run, so its samples are spread over the whole run.
+SETUP_BATCH_S = 0.2
 # A trained model must rank at least this many times better than chance (MRR).
 MRR_FLOOR_FACTOR = 1.5
 MIN_PASSES = 3
@@ -62,7 +62,7 @@ END_TO_END_UNITS = {
     "setup_s": "s",
     "pipeline_s": "s",
     "peak_rss_mb": "MB",
-    "ok_ops_ratio": "ratio",
+    "ok_checks_ratio": "ratio",
 }
 # Workload-specific end-to-end metrics, printed and kept in the manifest.
 WORKLOAD_UNITS = {
@@ -140,19 +140,14 @@ class Workload:
         self.config_path = work / "run.ini"
         self.dataset = None
         self.dropped: dict[str, int] = {}
-
-    def write_config(self) -> None:
-        lines = []
-        for section, values in self.config.items():
-            lines.append(f"[{section}]")
-            lines.extend(f"{key} = {value}" for key, value in values.items())
-        self.config_path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        self.generated_splits: dict[str, int] = {}
+        self.first_values: dict[str, float] = {}
 
     def setup(self) -> None:
         """Config, dataset and fixtures; timed and repeated by the runner."""
         from tkgd.graph import generate_synthetic
 
-        self.write_config()
+        _write_ini(self.config_path, self.config)
         ds = self.config["dataset"]
         handler = _DropCounter()
         graph_log = logging.getLogger("tkgd.graph")
@@ -169,6 +164,7 @@ class Workload:
         finally:
             graph_log.removeHandler(handler)
         self.dropped = handler.dropped
+        self.generated_splits = {name: len(self.dataset.split(name)) for name in ("train", "valid", "test")}
 
     def prepare_pass(self, out: Path) -> None:
         """Untimed preparation of a fresh pass directory."""
@@ -191,6 +187,15 @@ class Workload:
     def n_train(self) -> int:
         return len(self.dataset.train)
 
+    def same_every_pass(self, label: str, value: float) -> tuple[str, bool, str]:
+        """Check that a value deterministic at --threads 1 equals its first pass's value."""
+        first = self.first_values.setdefault(label, value)
+        return (f"{label} repeats", value == first, f"{value} vs {first}")
+
+    def above_mrr_floor(self, label: str, mrr: float) -> tuple[str, bool, str]:
+        floor = MRR_FLOOR_FACTOR * _random_mrr(self.dataset.vocab.n_entities)
+        return (f"{label} above floor", mrr > floor, f"{mrr:.4f} vs {floor:.4f}")
+
     def distill_epochs(self) -> int:
         return int(self.config["distill"]["phase1_epochs"]) + int(self.config["distill"]["phase2_epochs"])
 
@@ -211,6 +216,14 @@ class _DropCounter(logging.Handler):
         m = self.PATTERN.search(record.getMessage())
         if m:
             self.dropped[m.group(2)] = self.dropped.get(m.group(2), 0) + int(m.group(1))
+
+
+def _write_ini(path: Path, config: dict) -> None:
+    lines = []
+    for section, values in config.items():
+        lines.append(f"[{section}]")
+        lines.extend(f"{key} = {value}" for key, value in values.items())
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
 def _step(steps: list[dict], command: str) -> list[dict]:
@@ -242,9 +255,12 @@ class PipelineTadistmult(Workload):
     """The five-command pipeline on the example config, with short epoch budgets."""
 
     name = "pipeline-tadistmult"
+    # Both budgets are the example's divided by 8 (300 -> 38 teacher epochs,
+    # 32 + 8 -> 4 + 1 distill epochs), so train-teacher and distill keep the
+    # example's shares of the pass; eval_every stays 25.
     overrides = {
-        "train": {"max_epochs": "8"},
-        "distill": {"phase1_epochs": "3", "phase2_epochs": "1"},
+        "train": {"max_epochs": "38"},
+        "distill": {"phase1_epochs": "4", "phase2_epochs": "1"},
     }
     smoke_overrides = {
         "dataset": {"n_entities": "20", "n_facts": "200"},
@@ -273,10 +289,11 @@ class PipelineTadistmult(Workload):
             ("eval n_queries", report["n_queries"] == 2 * len(self.dataset.test), str(report["n_queries"])),
         ]
         teacher_mrr, student_mrr = self._mrrs(out)
-        floor = MRR_FLOOR_FACTOR * _random_mrr(self.dataset.vocab.n_entities)
+        checks.append(self.same_every_pass("teacher_valid_mrr", teacher_mrr))
+        checks.append(self.same_every_pass("student_test_mrr", student_mrr))
         if not self.smoke:  # two smoke epochs are too few to judge quality
-            checks.append(("teacher_valid_mrr above floor", teacher_mrr > floor, f"{teacher_mrr:.4f} vs {floor:.4f}"))
-            checks.append(("student_test_mrr above floor", student_mrr > floor, f"{student_mrr:.4f} vs {floor:.4f}"))
+            checks.append(self.above_mrr_floor("teacher_valid_mrr", teacher_mrr))
+            checks.append(self.above_mrr_floor("student_test_mrr", student_mrr))
         if first:
             params, _header = load_checkpoint(out / "student.ckpt")
             oracle = brute_force_oracle(params, self.dataset, split="test", mode="raw")
@@ -334,7 +351,7 @@ class LlmReplayTtranse(Workload):
         distill_log = _read_jsonl(out / "distill_log.jsonl")
         report = _read_json(out / "eval_report.json")["metrics"]
         records = len(_read_jsonl(out / "llm_cache.jsonl"))
-        return [
+        checks = [
             ("cold fill starts empty", m is not None and int(m.group(2)) == 2 * self.n_train()
              and int(m.group(1)) == int(m.group(2)) - records, fill.strip().replace("\n", " | ")),
             ("cold fill calls the handle once per record", calls is not None and int(calls.group(1)) == records,
@@ -342,6 +359,41 @@ class LlmReplayTtranse(Workload):
             ("warm replay makes 0 handle calls", distill_log[-1]["llm_calls"] == 0, str(distill_log[-1]["llm_calls"])),
             ("warm replay runs phase 2", any(r["phase"] == 2 for r in distill_log), ""),
             ("eval n_queries", report["n_queries"] == 2 * len(self.dataset.test), str(report["n_queries"])),
+            self.same_every_pass("student_test_mrr", report["mrr"]),
+        ]
+        if not self.smoke:  # two smoke epochs are too few to judge quality
+            checks.append(self.above_mrr_floor("student_test_mrr", report["mrr"]))
+        if first:
+            if not self.smoke:
+                teacher_mrr = _last_valid_mrr(self.fixture / "train_teacher_log.jsonl")
+                checks.append(self.above_mrr_floor("teacher_valid_mrr", teacher_mrr))
+            checks += self._alignment_checks(distill_log)
+        return checks
+
+    def _alignment_checks(self, distill_log: list[dict]) -> list[tuple[str, bool, str]]:
+        """Compare the replay with an untimed distill at lambda_llm = 0.
+
+        Phase 1 is identical in both.  In phase 2 the alignment term must
+        change every epoch's loss, and its gradient must move the student, so
+        the last epoch's validation MRR must differ too.
+        """
+        out = self.work / "lambda0"
+        shutil.rmtree(out, ignore_errors=True)
+        out.mkdir(parents=True)
+        shutil.copyfile(self.fixture / "teacher.ckpt", out / "teacher.ckpt")
+        config = _merge(self.config, {"distill": {"lambda_llm": "0"}})
+        _write_ini(out / "run.ini", config)
+        if _run_cli(["distill", "--config", str(out / "run.ini"), "--threads", "1", "--out", str(out)])["rc"] != 0:
+            return [("lambda_llm = 0 distill exits 0", False, "")]
+        plain = _read_jsonl(out / "distill_log.jsonl")
+        phase1 = [(a["train_loss"], b["train_loss"]) for a, b in zip(distill_log, plain) if a["phase"] == 1]
+        phase2 = [(a["train_loss"], b["train_loss"]) for a, b in zip(distill_log, plain) if a["phase"] == 2]
+        last_mrr = (distill_log[-1]["valid_mrr"], plain[-1]["valid_mrr"])
+        return [
+            ("phase 1 matches the lambda_llm = 0 distill", len(plain) == len(distill_log)
+             and all(a == b for a, b in phase1), str(phase1)),
+            ("alignment changes every phase-2 loss", bool(phase2) and all(a != b for a, b in phase2), str(phase2)),
+            ("alignment moves the student", last_mrr[0] != last_mrr[1], f"valid MRR {last_mrr[0]} vs {last_mrr[1]}"),
         ]
 
     def trace_checks(self, layers, tracer):
@@ -377,12 +429,33 @@ class EvalLarge(Workload):
     smoke_overrides = {
         "dataset": {"n_entities": "60", "n_relations": "4", "n_buckets": "8", "n_facts": "600"},
     }
+    # Valid and test are whole time buckets, so their sizes change with the seed
+    # (1490 rows at the least over seeds 1-120).  The pass evaluates a fixed
+    # number of rows of each, so its work is the same for every seed.
+    ROWS_PER_SPLIT = 1200
+    SMOKE_ROWS_PER_SPLIT = 30
+
+    def __init__(self, work, seed, smoke):
+        super().__init__(work, seed, smoke)
+        self.data_dir = work / "data"
+        self.config["dataset"].update({"synthetic": "no", "path": str(self.data_dir)})
 
     def setup(self):
         from tkgd.checkpoint import save_checkpoint
+        from tkgd.graph import Dataset, load_quadruples, save_dataset
         from tkgd.models import init_params
 
         super().setup()
+        rows = self.SMOKE_ROWS_PER_SPLIT if self.smoke else self.ROWS_PER_SPLIT
+        ds = self.dataset
+        if min(len(ds.valid), len(ds.test)) < rows:
+            raise RuntimeError(
+                f"seed {self.seed} gives {len(ds.valid)} valid and {len(ds.test)} test rows, fewer than {rows}"
+            )
+        shutil.rmtree(self.data_dir, ignore_errors=True)
+        save_dataset(Dataset(vocab=ds.vocab, train=ds.train, valid=ds.valid[:rows], test=ds.test[:rows], rule=ds.rule),
+                     self.data_dir)
+        self.dataset = load_quadruples(self.data_dir)
         v = self.dataset.vocab
         params = init_params(
             "tadistmult", int(self.config["model"]["teacher_dim"]), v.n_entities, v.n_relations, v.n_buckets,
@@ -433,17 +506,17 @@ def _run_cli(argv: list[str]) -> dict:
     from tkgd import cli
 
     buf = io.StringIO()
-    start = time.perf_counter()
+    start, start_cpu = time.perf_counter(), time.process_time()
     try:
         with contextlib.redirect_stdout(buf):
             rc = cli.main(argv)
     except Exception:  # a crash is a failed step, reported and counted
         traceback.print_exc()
         rc = -1
-    elapsed = time.perf_counter() - start
+    elapsed, cpu = time.perf_counter() - start, time.process_time() - start_cpu
     if rc != 0:
         print(f"bench: `tkgd {' '.join(argv)}` exited {rc}\n{buf.getvalue()}", file=sys.stderr)
-    return {"command": argv[0], "rc": rc, "s": elapsed, "stdout": buf.getvalue()}
+    return {"command": argv[0], "rc": rc, "s": elapsed, "cpu_s": cpu, "stdout": buf.getvalue()}
 
 
 def _run_pass(workload: Workload, out: Path, tracer=None, run_id: int = 0) -> dict:
@@ -451,15 +524,16 @@ def _run_pass(workload: Workload, out: Path, tracer=None, run_id: int = 0) -> di
     steps = []
     if tracer is not None:
         tracer.start(run_id)
-    start = time.perf_counter()
+    start, start_cpu = time.perf_counter(), time.process_time()
     try:
         for argv in workload.commands(out):
             steps.append(_run_cli(argv))
-        wall = time.perf_counter() - start
+        wall, cpu = time.perf_counter() - start, time.process_time() - start_cpu
     finally:
         if tracer is not None:
             tracer.stop()
-    return {"wall_s": wall, "steps": steps, "layers": tracer.pass_metrics() if tracer is not None else None}
+    layers = tracer.pass_metrics() if tracer is not None else None
+    return {"wall_s": wall, "cpu_s": cpu, "steps": steps, "layers": layers}
 
 
 def _llm_answers(out: Path) -> tuple[int, int]:
@@ -471,21 +545,13 @@ def _llm_answers(out: Path) -> tuple[int, int]:
 
 
 def _commit() -> str:
-    """The checked-out commit, read from .git without leaving the checkout."""
-    git = Path(".git")
+    """The checked-out commit; git may not look above the checkout for a repository."""
+    env = {**os.environ, "GIT_CEILING_DIRECTORIES": str(Path.cwd().parent)}
     try:
-        head = (git / "HEAD").read_text(encoding="utf-8").strip()
-        if not head.startswith("ref: "):
-            return head
-        ref = head[len("ref: "):]
-        if (git / ref).is_file():
-            return (git / ref).read_text(encoding="utf-8").strip()
-        for line in (git / "packed-refs").read_text(encoding="utf-8").splitlines():
-            if line.endswith(" " + ref):
-                return line.split()[0]
-    except OSError:
-        pass
-    return "unknown (not a git checkout)"
+        proc = subprocess.run(["git", "rev-parse", "HEAD"], capture_output=True, text=True, env=env, timeout=10)
+    except (OSError, subprocess.TimeoutExpired):
+        return "unknown"
+    return proc.stdout.strip() if proc.returncode == 0 else "unknown"
 
 
 def _source_identity() -> dict:
@@ -500,7 +566,7 @@ def _manifest(workload: Workload, seconds: float, trace: bool) -> dict:
 
     ds = workload.dataset
     requested = workload.config["dataset"]
-    splits = {name: len(ds.split(name)) for name in ("train", "valid", "test")}
+    splits = workload.generated_splits
     return {
         **_source_identity(),
         "workload": workload.name,
@@ -522,6 +588,7 @@ def _manifest(workload: Workload, seconds: float, trace: bool) -> dict:
             "buckets": ds.vocab.n_buckets,
             "buckets_requested": int(requested["n_buckets"]),
             "splits_after_dedupe": splits,
+            "splits_used": {name: len(ds.split(name)) for name in ("train", "valid", "test")},
             "duplicates_dropped": workload.dropped,
             "facts_dropped_total": int(requested["n_facts"]) - sum(splits.values()),
         },
@@ -544,11 +611,15 @@ def run(workload_name: str, seed: int, seconds: float, trace: bool, smoke: bool 
     import tkgd.cli  # noqa: F401  (imports are process start-up, not set-up)
 
     workload = WORKLOADS[workload_name](work, seed, smoke)
-    setup_samples = []
-    while len(setup_samples) < SETUP_REPEATS or (sum(setup_samples) < SETUP_MIN_S and not smoke):
-        start = time.perf_counter()
-        workload.setup()
-        setup_samples.append(time.perf_counter() - start)
+    setup_samples: list[float] = []
+
+    def set_up() -> None:
+        batch: list[float] = []
+        while not batch or sum(batch) < SETUP_BATCH_S:
+            start = time.process_time()
+            workload.setup()
+            batch.append(time.process_time() - start)
+        setup_samples.extend(batch)
 
     tracer = None
     if trace:
@@ -557,7 +628,8 @@ def run(workload_name: str, seed: int, seconds: float, trace: bool, smoke: bool 
         tracer = Tracer()
     passes, traced_passes = [], []
     checks: list[tuple[str, bool, str]] = []
-    counts = {"attempted": 0, "failed": 0}
+    # ops: commands, output checks and language-model answers; checks: commands and output checks
+    counts = {"attempted": 0, "failed": 0, "checks": 0, "checks_failed": 0}
 
     def checked_pass(traced: bool) -> dict:
         out = work / f"pass{len(passes) + len(traced_passes)}"
@@ -574,17 +646,29 @@ def run(workload_name: str, seed: int, seconds: float, trace: bool, smoke: bool 
             traceback.print_exc()
             pass_checks.append(("outputs readable", False, repr(exc)))
         answers, unusable = _llm_answers(out)
-        counts["attempted"] += len(res["steps"]) + len(pass_checks) + answers
-        counts["failed"] += sum(s["rc"] != 0 for s in res["steps"]) + sum(not ok for _, ok, _ in pass_checks) + unusable
+        if answers:
+            pass_checks.append(("every language-model answer is usable", unusable == 0, f"{unusable} of {answers}"))
+        n_checks = len(res["steps"]) + len(pass_checks)
+        n_failed = sum(s["rc"] != 0 for s in res["steps"]) + sum(not ok for _, ok, _ in pass_checks)
+        counts["checks"] += n_checks
+        counts["checks_failed"] += n_failed
+        counts["attempted"] += n_checks + answers
+        counts["failed"] += n_failed + unusable
         checks.extend(pass_checks)
         return res
 
-    min_passes = 1 if smoke else MIN_PASSES
+    # a traced pass pair costs more than two untraced passes, and the traced
+    # metrics carry no bound, so one pair is enough
+    min_passes = 1 if smoke or trace else MIN_PASSES
     start = time.perf_counter()
-    while len(passes) < min_passes or time.perf_counter() - start + _typical(passes, traced_passes) < seconds:
+    rounds: list[float] = []  # wall time of each set-up plus pass (pair)
+    while len(passes) < min_passes or time.perf_counter() - start + statistics.median(rounds) < seconds:
+        round_start = time.perf_counter()
+        set_up()
         passes.append(checked_pass(traced=False))
         if tracer is not None:
             traced_passes.append(checked_pass(traced=True))
+        rounds.append(time.perf_counter() - round_start)
         if not all(ok for _, ok, _ in checks):
             break
     attempted, failed = counts["attempted"], counts["failed"]
@@ -596,18 +680,19 @@ def run(workload_name: str, seed: int, seconds: float, trace: bool, smoke: bool 
         stage = {k: statistics.median(p["stage"][k] for p in good) for k in good[0]["stage"]}
     e2e = {
         "setup_s": statistics.median(setup_samples),
-        # the mean, not the median: on a host whose speed drifts for tens of seconds
-        # at a time it varies less from run to run
-        "pipeline_s": statistics.mean(p["wall_s"] for p in passes),
+        # the mean, not a quantile: a shared host can slow a process by a fifth or
+        # more for tens of seconds at a time, and a quantile jumps between the slow
+        # and the fast level where the mean moves with the time spent at each
+        "pipeline_s": statistics.mean(p["cpu_s"] for p in passes),
         "peak_rss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0,
-        "ok_ops_ratio": 1.0 - failed / attempted,
+        "ok_checks_ratio": 1.0 - counts["checks_failed"] / counts["checks"],
     }
     if trace:
         from tracer import per_layer_units
 
         units = per_layer_units()
         layers = {k: statistics.median(p["layers"][k] for p in traced_passes) for k in traced_passes[0]["layers"]}
-        layers["trace.overhead_s"] = statistics.mean(p["wall_s"] for p in traced_passes) - e2e["pipeline_s"]
+        layers["trace.overhead_s"] = statistics.mean(p["cpu_s"] for p in traced_passes) - e2e["pipeline_s"]
         metrics = {k: {"value": layers[k], "unit": unit} for k, unit in units.items()}
         tracer.write(work / "spans.jsonl")
     else:
@@ -618,8 +703,11 @@ def run(workload_name: str, seed: int, seconds: float, trace: bool, smoke: bool 
     manifest.update(
         {
             "setup_s_samples": setup_samples,
-            "passes": [[{"command": s["command"], "rc": s["rc"], "s": s["s"]} for s in p["steps"]] for p in passes],
+            "passes": [[{k: s[k] for k in ("command", "rc", "s", "cpu_s")} for s in p["steps"]] for p in passes],
+            "pass_wall_s": [p["wall_s"] for p in passes],
+            "pass_cpu_s": [p["cpu_s"] for p in passes],
             "traced_pass_wall_s": [p["wall_s"] for p in traced_passes],
+            "traced_pass_cpu_s": [p["cpu_s"] for p in traced_passes],
             "end_to_end": e2e,
             "workload_metrics": {**stage, "failed_ops_ratio": failed / attempted},
             "checks": [{"check": name, "ok": ok, "detail": detail} for name, ok, detail in checks],
@@ -631,12 +719,6 @@ def run(workload_name: str, seed: int, seconds: float, trace: bool, smoke: bool 
     log_handler.close()
     root_log.removeHandler(log_handler)
     return result
-
-
-def _typical(passes: list[dict], traced_passes: list[dict]) -> float:
-    """Expected duration of the next loop iteration (one pass, or a pass pair when tracing)."""
-    per_pass = statistics.median(p["wall_s"] for p in passes)
-    return per_pass + (statistics.median(p["wall_s"] for p in traced_passes) if traced_passes else 0.0)
 
 
 def _print_summary(name: str, e2e: dict, workload_metrics: dict, checks, work: Path) -> None:

@@ -47,17 +47,15 @@ FUNCTIONS = (
     ("llm.ScoreCache.get", "llm", "ScoreCache.get"),
     ("llm.ScoreCache.put", "llm", "ScoreCache.put"),
     ("llm.ScoreCache.load", "llm", "ScoreCache.__init__"),
+    # the only language-model handle the workloads build (llm mode mock-planted)
     ("llm.complete", "llm", "PlantedRuleTeacher.complete"),
-    ("llm.complete", "llm", "EchoTeacher.complete"),
-    ("llm.complete", "llm", "NoiseTeacher.complete"),
-    ("llm.complete", "llm", "RemoteTeacher.complete"),
     ("checkpoint.save_checkpoint", "checkpoint", "save_checkpoint"),
     ("checkpoint.load_checkpoint", "checkpoint", "load_checkpoint"),
     ("cli", "cli", "main"),
 )
 
 # Layers reported as .calls and .s.  A cli.main span is named after its command.
-LAYERS = tuple(dict.fromkeys(name for name, _m, _a in FUNCTIONS if name not in ("cli", "llm.ScoreCache.load")))
+LAYERS = tuple(name for name, _m, _a in FUNCTIONS if name not in ("cli", "llm.ScoreCache.load"))
 COMMANDS = ("prepare", "train-teacher", "distill", "evaluate", "cache-llm", "export")
 SELF_TIME = ("training.train_supervised", "distill.distill_run")
 
