@@ -125,14 +125,21 @@ def _vocab_sizes(dataset) -> tuple[int, int, int]:
 
 
 def _check_vocab(header: dict, dataset, path) -> None:
-    n_entities, n_relations, _ = _vocab_sizes(dataset)
-    if header["n_entities"] != n_entities or header["n_relations"] != n_relations:
-        from .checkpoint import CheckpointError
+    from .checkpoint import CheckpointError
 
+    n_entities, n_relations, n_buckets = _vocab_sizes(dataset)
+    if header["n_entities"] != n_entities or header["n_relations"] != n_relations:
         raise CheckpointError(
             f"{path}: checkpoint vocabulary ({header['n_entities']} entities, "
             f"{header['n_relations']} relations) does not match the dataset "
             f"({n_entities} entities, {n_relations} relations)"
+        )
+    # ttranse embeds each bucket, so its time table must line up with the dataset's buckets
+    shapes = dict(header["tensors"])
+    if header["backbone"] == "ttranse" and shapes["time_emb"][0] != n_buckets:
+        raise CheckpointError(
+            f"{path}: checkpoint has {shapes['time_emb'][0]} time buckets, "
+            f"which does not match the dataset ({n_buckets} time buckets)"
         )
 
 

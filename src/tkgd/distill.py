@@ -148,32 +148,19 @@ def _soft_kd_rows(teacher: np.ndarray, student: np.ndarray, tau: float) -> tuple
 
 
 def _hard_ce_rows(student: np.ndarray, gt: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Cross-entropy against the one-hot truth at temperature 1."""
+    """Cross-entropy against the one-hot truth at temperature 1, per row of (m, n) scores."""
     logq = log_softmax_with_temperature(student, 1.0)
-    q = softmax_with_temperature(student, 1.0)
-    rows = np.arange(len(np.atleast_2d(student)))
-    if student.ndim == 1:
-        loss = -logq[gt]
-        grad = q.copy()
-        grad[gt] -= 1.0
-        return loss, grad
+    rows = np.arange(student.shape[0])
     loss = -logq[rows, gt]
-    grad = q.copy()
+    grad = np.exp(logq)
     grad[rows, gt] -= 1.0
     return loss, grad
 
 
 def _mse_softmax_rows(student: np.ndarray, gt: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Mean squared error between softmax(student) and the one-hot truth."""
+    """Mean squared error between softmax(student) and the one-hot truth, per row of (m, n) scores."""
     q = softmax_with_temperature(student, 1.0)
     resid = q.copy()
-    if student.ndim == 1:
-        resid[gt] -= 1.0
-        n = student.size
-        loss = np.mean(resid * resid)
-        g = (2.0 / n) * resid
-        grad = q * (g - np.sum(g * q))
-        return loss, grad
     rows = np.arange(student.shape[0])
     resid[rows, gt] -= 1.0
     n = student.shape[1]
@@ -209,9 +196,9 @@ def kd_soft_loss(
         loss += alpha_kd * float(l_soft)
         grad += alpha_kd * g_soft
     if alpha_kd < 1.0:
-        l_hard, g_hard = _hard_ce_rows(s, gt_index)
-        loss += (1.0 - alpha_kd) * float(l_hard)
-        grad += (1.0 - alpha_kd) * g_hard
+        l_hard, g_hard = _hard_ce_rows(s[None], [gt_index])
+        loss += (1.0 - alpha_kd) * float(l_hard[0])
+        grad += (1.0 - alpha_kd) * g_hard[0]
     return loss, grad
 
 
@@ -259,8 +246,8 @@ def supervised_loss(student_scores: np.ndarray, gt_index: int) -> tuple[float, n
         raise ValueError("student_scores must be a non-empty 1-D vector")
     if not (0 <= gt_index < s.size):
         raise ValueError("gt_index out of range")
-    loss, grad = _mse_softmax_rows(s, gt_index)
-    return float(loss), grad
+    loss, grad = _mse_softmax_rows(s[None], [gt_index])
+    return float(loss[0]), grad[0]
 
 
 def total_loss(l1: float, l2: float, l3: float, cfg: DistillConfig) -> float:
@@ -413,7 +400,8 @@ def distill_run(
     own objective for phase 1 and skip phase 2.  The student snapshot with
     the best validation MRR is returned (the final state when the validation
     split is empty or never evaluated).  One log record per epoch:
-    epoch, phase, method, train_loss, llm_calls, and valid_mrr on evaluation
+    epoch, phase, method, train_loss (the mean loss per query, each training
+    fact counting once per slot), llm_calls, and valid_mrr on evaluation
     epochs.
     """
     if teacher.backbone != student.params.backbone:
@@ -519,13 +507,13 @@ def distill_run(
             if not np.isfinite(batch_loss):
                 raise RuntimeError(f"training diverged: non-finite loss at epoch {epoch}, batch size {m}")
             grads.apply(lr, eps)
-            epoch_loss += batch_loss
+            epoch_loss += batch_loss * 2 * m
 
         record = {
             "epoch": epoch,
             "phase": phase,
             "method": cfg.method,
-            "train_loss": epoch_loss,
+            "train_loss": epoch_loss / n_queries,
             "llm_calls": int(getattr(llm_handle, "calls", 0)) if llm_handle is not None else 0,
         }
         if has_valid and eval_every > 0 and ((epoch + 1) % eval_every == 0 or epoch == total_epochs - 1):

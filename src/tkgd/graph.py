@@ -142,9 +142,6 @@ class Vocabulary:
                 hi = mid
         return lo if (year - buckets[lo]) <= (buckets[hi] - year) else hi
 
-    def year_of_bucket(self, t: int) -> int:
-        return self.time_buckets[t]
-
 
 class KnownFacts:
     """Set-based index of every fact in the dataset, keyed both ways.

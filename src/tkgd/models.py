@@ -4,7 +4,9 @@ Two models share one interface.  The translation backbone scores a fact by
 how short the vector s + p - o + t is (negated, so higher means more
 plausible).  The recurrent-factorization backbone encodes the relation
 together with the year digits through a single-layer LSTM and scores with the
-trilinear product sum_k s_k * o_k * pseq_k.
+trilinear product sum_k s_k * o_k * pseq_k.  The encoder input depends only on
+the (relation, bucket) pair, so batched scoring and training run the LSTM once
+per distinct pair in the batch, all pairs as one (n, L) token batch.
 
 All gradients in this file are written out by hand; there is no autodiff
 anywhere.  Every backward path is validated against central finite
@@ -121,8 +123,9 @@ class TADistMultParams:
             *(t.astype(dtype) for t in self.tables().values()), n_relations=self.n_relations
         )
 
-    def gate_weights(self, prefix: str) -> list[np.ndarray]:
-        return [getattr(self, f"{prefix}_{gate}").values for gate in GATES]
+    def stacked_gates(self, prefix: str) -> np.ndarray:
+        """The four w_, u_ or b_ tensors stacked in GATES order: (4d, d) or (4d,)."""
+        return np.concatenate([getattr(self, f"{prefix}_{gate}").values for gate in GATES])
 
 
 Params = TTransEParams | TADistMultParams
@@ -204,123 +207,104 @@ def ta_tokenize(p: int, t: int, vocab: Vocabulary) -> np.ndarray:
 
 @dataclass
 class LstmCache:
-    """Per-step activations kept from a forward pass for backpropagation."""
+    """Per-step activations kept from a forward pass for backpropagation.
 
-    tokens: np.ndarray
-    x: np.ndarray  # (L, d) input rows
-    i: np.ndarray  # input gate, sigmoid
-    f: np.ndarray  # forget gate, sigmoid
-    g: np.ndarray  # cell candidate, tanh
-    o: np.ndarray  # output gate, sigmoid
-    c: np.ndarray  # cell state after each step
-    h: np.ndarray  # hidden state after each step
+    Every array keeps the leading batch axis of the tokens it was built from:
+    none for a single (L,) sequence, n for an (n, L) batch.
+    """
+
+    tokens: np.ndarray  # (..., L) token ids
+    x: np.ndarray  # (..., L, d) input rows
+    gates: np.ndarray  # (..., L, 4d) gate activations in GATES order; tanh for cell, sigmoid otherwise
+    c: np.ndarray  # (..., L, d) cell state after each step
+    h: np.ndarray  # (..., L, d) hidden state after each step
 
 
 def _sigmoid(x: np.ndarray) -> np.ndarray:
-    out = np.empty_like(x)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out[~pos] = ex / (1.0 + ex)
-    return out
+    return 0.5 + 0.5 * np.tanh(0.5 * x)
 
 
 def lstm_forward(tokens: np.ndarray, params: TADistMultParams) -> tuple[np.ndarray, LstmCache]:
-    """Run the relation-time token sequence through the LSTM.
+    """Run relation-time token sequences through the LSTM.
 
-    Hidden and cell state start at zero.  Returns the final hidden state (the
-    sequence representation) plus the cache needed by lstm_backward.
+    tokens is one (L,) sequence or an (n, L) batch of them.  Hidden and cell
+    state start at zero.  Returns the final hidden state, (d,) or (n, d), as
+    the sequence representation, plus the cache needed by lstm_backward.
     """
     tokens = np.asarray(tokens, dtype=np.int64)
-    if tokens.ndim != 1 or tokens.size == 0:
-        raise ValueError("token sequence must be a non-empty 1-D array")
+    if tokens.ndim not in (1, 2) or tokens.shape[-1] == 0:
+        raise ValueError("tokens must be a non-empty (L,) sequence or an (n, L) batch")
     d = params.dim
-    L = tokens.size
     x = params.token_emb.values[tokens]
-    dtype = x.dtype
-    wi, wf, wg, wo = params.gate_weights("w")
-    ui, uf, ug, uo = params.gate_weights("u")
-    bi, bf, bg, bo = (params.b_input.values, params.b_forget.values, params.b_cell.values, params.b_output.values)
-
-    gates = {k: np.zeros((L, d), dtype=dtype) for k in ("i", "f", "g", "o", "c", "h")}
-    h = np.zeros(d, dtype=dtype)
-    c = np.zeros(d, dtype=dtype)
-    for step in range(L):
-        xt = x[step]
-        it = _sigmoid(wi @ xt + ui @ h + bi)
-        ft = _sigmoid(wf @ xt + uf @ h + bf)
-        gt = np.tanh(wg @ xt + ug @ h + bg)
-        ot = _sigmoid(wo @ xt + uo @ h + bo)
-        c = ft * c + it * gt
-        h = ot * np.tanh(c)
-        gates["i"][step] = it
-        gates["f"][step] = ft
-        gates["g"][step] = gt
-        gates["o"][step] = ot
-        gates["c"][step] = c
-        gates["h"][step] = h
-    cache = LstmCache(tokens=tokens, x=x, **{k: gates[k] for k in ("i", "f", "g", "o", "c", "h")})
-    return h, cache
+    pre_x = x @ params.stacked_gates("w").T + params.stacked_gates("b")
+    u_t = params.stacked_gates("u").T
+    gates = np.empty_like(pre_x)
+    c_all = np.empty_like(x)
+    h_all = np.empty_like(x)
+    h = np.zeros_like(x[..., 0, :])
+    c = np.zeros_like(h)
+    for step in range(tokens.shape[-1]):
+        a = pre_x[..., step, :] + h @ u_t
+        act = gates[..., step, :]
+        act[...] = _sigmoid(a)
+        act[..., 2 * d : 3 * d] = np.tanh(a[..., 2 * d : 3 * d])
+        i, f, g, o = np.split(act, 4, axis=-1)
+        c = f * c + i * g
+        h = o * np.tanh(c)
+        c_all[..., step, :] = c
+        h_all[..., step, :] = h
+    return h, LstmCache(tokens=tokens, x=x, gates=gates, c=c_all, h=h_all)
 
 
 def lstm_backward(
     params: TADistMultParams, cache: LstmCache, dh_last: np.ndarray
 ) -> tuple[np.ndarray, dict[str, np.ndarray]]:
-    """Backpropagation through time for one cached sequence.
+    """Backpropagation through time for a cached sequence or batch.
 
-    Takes the gradient of the loss with respect to the final hidden state and
-    returns (gradient per input row, gradients for every LSTM matrix and
-    bias).  Input-row gradients line up with cache.tokens.
+    Takes the gradient of the loss with respect to the final hidden state,
+    shaped like lstm_forward's output, and returns (gradient per input row,
+    gradients for every LSTM matrix and bias).  Input-row gradients line up
+    with cache.tokens; matrix and bias gradients sum over the batch.
     """
-    L, d = cache.x.shape
-    dtype = cache.x.dtype
-    wi, wf, wg, wo = params.gate_weights("w")
-    ui, uf, ug, uo = params.gate_weights("u")
+    d = cache.x.shape[-1]
+    zero = np.zeros_like(cache.h[..., :1, :])
+    h_prev = np.concatenate([zero, cache.h[..., :-1, :]], axis=-2)
+    c_prev = np.concatenate([zero, cache.c[..., :-1, :]], axis=-2)
+    tanh_c = np.tanh(cache.c)
+    u = params.stacked_gates("u")
 
-    dW = {gate: np.zeros((d, d), dtype=dtype) for gate in GATES}
-    dU = {gate: np.zeros((d, d), dtype=dtype) for gate in GATES}
-    db = {gate: np.zeros(d, dtype=dtype) for gate in GATES}
-    dx = np.zeros((L, d), dtype=dtype)
+    da = np.empty_like(cache.gates)
+    dh = np.asarray(dh_last, dtype=cache.x.dtype)
+    dc_next = np.zeros_like(dh)
+    for step in range(cache.tokens.shape[-1] - 1, -1, -1):
+        i, f, g, o = np.split(cache.gates[..., step, :], 4, axis=-1)
+        tc = tanh_c[..., step, :]
+        da_i, da_f, da_g, da_o = np.split(da[..., step, :], 4, axis=-1)
+        da_o[...] = dh * tc * o * (1.0 - o)
+        dc = dc_next + dh * o * (1.0 - tc * tc)
+        da_i[...] = dc * g * i * (1.0 - i)
+        da_f[...] = dc * c_prev[..., step, :] * f * (1.0 - f)
+        da_g[...] = dc * i * (1.0 - g * g)
+        dh = da[..., step, :] @ u
+        dc_next = dc * f
 
-    dh = np.asarray(dh_last, dtype=dtype).copy()
-    dc_next = np.zeros(d, dtype=dtype)
-    for step in range(L - 1, -1, -1):
-        it, ft, gt, ot = cache.i[step], cache.f[step], cache.g[step], cache.o[step]
-        ct = cache.c[step]
-        h_prev = cache.h[step - 1] if step > 0 else np.zeros(d, dtype=dtype)
-        c_prev = cache.c[step - 1] if step > 0 else np.zeros(d, dtype=dtype)
-        tc = np.tanh(ct)
-
-        da_o = dh * tc * ot * (1.0 - ot)
-        dc = dc_next + dh * ot * (1.0 - tc * tc)
-        da_i = dc * gt * it * (1.0 - it)
-        da_g = dc * it * (1.0 - gt * gt)
-        da_f = dc * c_prev * ft * (1.0 - ft)
-
-        xt = cache.x[step]
-        for gate, da in zip(GATES, (da_i, da_f, da_g, da_o)):
-            dW[gate] += np.outer(da, xt)
-            dU[gate] += np.outer(da, h_prev)
-            db[gate] += da
-        dx[step] = wi.T @ da_i + wf.T @ da_f + wg.T @ da_g + wo.T @ da_o
-        dh = ui.T @ da_i + uf.T @ da_f + ug.T @ da_g + uo.T @ da_o
-        dc_next = dc * ft
-
+    dx = da @ params.stacked_gates("w")
+    da_rows = da.reshape(-1, 4 * d)
+    stacked = {
+        "w": da_rows.T @ cache.x.reshape(-1, d),
+        "u": da_rows.T @ h_prev.reshape(-1, d),
+        "b": da_rows.sum(axis=0),
+    }
     dense = {}
-    for prefix, store in (("w", dW), ("u", dU), ("b", db)):
-        for gate in GATES:
-            dense[f"{prefix}_{gate}"] = store[gate]
+    for prefix, grad in stacked.items():
+        for gate, part in zip(GATES, np.split(grad, 4)):
+            dense[f"{prefix}_{gate}"] = part
     return dx, dense
 
 
 def trilinear_score(s_vec: np.ndarray, o_vec: np.ndarray, pseq: np.ndarray) -> float:
     """sum_k s_k * o_k * pseq_k, the decoder of the recurrent backbone."""
     return float(np.sum(s_vec * o_vec * pseq))
-
-
-def _sequence_state(params: TADistMultParams, vocab: Vocabulary, p: int, t: int):
-    tokens = ta_tokenize(p, t, vocab)
-    return lstm_forward(tokens, params)
 
 
 def score_quadruple(params: Params, quad, vocab: Vocabulary) -> float:
@@ -330,7 +314,7 @@ def score_quadruple(params: Params, quad, vocab: Vocabulary) -> float:
         ent = params.entity_emb.values
         v = ent[s] + params.relation_emb.values[p] - ent[o] + params.time_emb.values[t]
         return float(-np.linalg.norm(v))
-    pseq, _cache = _sequence_state(params, vocab, p, t)
+    pseq, _ = lstm_forward(ta_tokenize(p, t, vocab), params)
     ent = params.entity_emb.values
     return trilinear_score(ent[s], ent[o], pseq)
 
@@ -353,7 +337,7 @@ def score_candidates(params: Params, cs: CandidateSet, vocab: Vocabulary) -> np.
         fixed = _ttranse_fixed_part(params, quad, cs.slot)[0]
         return -np.linalg.norm(fixed[None, :] - cand_emb, axis=1)
     s, p, o, t = cs.query
-    pseq, _ = _sequence_state(params, vocab, p, t)
+    pseq, _ = lstm_forward(ta_tokenize(p, t, vocab), params)
     fixed_vec = params.entity_emb.values[s if cs.slot == "object" else o]
     return cand_emb @ (fixed_vec * pseq)
 
@@ -401,9 +385,6 @@ class GradAccum:
             raise KeyError(f"no sparse gradient for {name!r}")
         rows = np.nonzero(self._touched[name])[0]
         return rows, self._buf[name][rows]
-
-    def tables_touched(self) -> list[str]:
-        return [name for name in self._tables if name in self._buf]
 
     def scale(self, factor: float) -> None:
         for buf in self._buf.values():
@@ -453,22 +434,38 @@ def batch_candidate_scores(
             diff = fixed[:, None, :] - ent[None, lo:hi, :]
             scores[:, lo:hi] = -np.sqrt(np.sum(diff * diff, axis=2))
         return scores
-    pseqs = _batch_sequences(params, vocab, quads)
+    pseqs, _, _ = _encode_pairs(params, vocab, quads)
     fixed_idx = quads[:, 0] if slot == "object" else quads[:, 2]
     w = ent[fixed_idx] * pseqs
     return w @ ent.T
 
 
-def _batch_sequences(params: TADistMultParams, vocab: Vocabulary, quads: np.ndarray):
-    """Hidden states for each query's (relation, bucket) pair, forward once per unique pair."""
-    states: dict[tuple[int, int], np.ndarray] = {}
-    out = np.empty((len(quads), params.dim), dtype=params.entity_emb.values.dtype)
-    for row, (p, t) in enumerate(zip(quads[:, 1], quads[:, 3])):
-        key = (int(p), int(t))
-        if key not in states:
-            states[key], _ = _sequence_state(params, vocab, key[0], key[1])
-        out[row] = states[key]
-    return out
+def _encode_pairs(
+    params: TADistMultParams, vocab: Vocabulary, quads: np.ndarray
+) -> tuple[np.ndarray, LstmCache, np.ndarray]:
+    """Sequence states of each row's (relation, bucket) pair.
+
+    The LSTM runs once, on the batch of distinct pairs.  Returns the (m, d)
+    per-row states, the forward cache over the distinct pairs, and the index
+    of each row's pair in that cache.
+    """
+    pairs, inverse = np.unique(quads[:, [1, 3]], axis=0, return_inverse=True)
+    inverse = inverse.reshape(-1)
+    tokens = np.array([ta_tokenize(p, t, vocab) for p, t in pairs], dtype=np.int64)
+    states, cache = lstm_forward(tokens.reshape(len(pairs), 1 + YEAR_DIGITS), params)
+    return states[inverse], cache, inverse
+
+
+def _backprop_pairs(
+    params: TADistMultParams, cache: LstmCache, inverse: np.ndarray, dpseq: np.ndarray, grads: GradAccum
+) -> None:
+    """Chain per-row gradients of the sequence states from _encode_pairs into grads."""
+    dh = np.zeros((len(cache.tokens), params.dim), dtype=cache.h.dtype)
+    np.add.at(dh, inverse, dpseq)
+    dx, dense = lstm_backward(params, cache, dh)
+    grads.add_rows("token_emb", cache.tokens.reshape(-1), dx.reshape(-1, params.dim))
+    for name, grad in dense.items():
+        grads.add_dense(name, grad)
 
 
 def batch_candidate_backprop(
@@ -513,14 +510,7 @@ def batch_candidate_backprop(
         return
 
     # recurrent backbone: score[q, j] = sum_k ent[fixed_q] * ent[j] * pseq_q
-    caches: dict[tuple[int, int], tuple[np.ndarray, LstmCache]] = {}
-    for p, t in zip(quads[:, 1], quads[:, 3]):
-        key = (int(p), int(t))
-        if key not in caches:
-            tokens = ta_tokenize(key[0], key[1], vocab)
-            caches[key] = lstm_forward(tokens, params)
-    pseqs = np.stack([caches[(int(p), int(t))][0] for p, t in zip(quads[:, 1], quads[:, 3])])
-
+    pseqs, cache, inverse = _encode_pairs(params, vocab, quads)
     fixed_idx = quads[:, 0] if slot == "object" else quads[:, 2]
     fixed_emb = ent[fixed_idx]
     w = fixed_emb * pseqs  # (m, d)
@@ -531,21 +521,7 @@ def batch_candidate_backprop(
     ga = dscores @ ent  # (m, d), gradient with respect to w per query
     grads.add_rows("entity_emb", fixed_idx, ga * pseqs)
 
-    dpseq_acc: dict[tuple[int, int], np.ndarray] = {}
-    dpseq_rows = ga * fixed_emb
-    for row, (p, t) in enumerate(zip(quads[:, 1], quads[:, 3])):
-        key = (int(p), int(t))
-        if key in dpseq_acc:
-            dpseq_acc[key] += dpseq_rows[row]
-        else:
-            dpseq_acc[key] = dpseq_rows[row].copy()
-
-    for key, dh in dpseq_acc.items():
-        _h, cache = caches[key]
-        dx, dense = lstm_backward(params, cache, dh)
-        grads.add_rows("token_emb", cache.tokens, dx)
-        for name, grad in dense.items():
-            grads.add_dense(name, grad)
+    _backprop_pairs(params, cache, inverse, ga * fixed_emb, grads)
 
 
 def _softplus(x: np.ndarray) -> np.ndarray:
@@ -617,12 +593,7 @@ def supervised_gradients(
     ent = params.entity_emb.values
     labels = np.concatenate([np.ones(n, dtype=ent.dtype), -np.ones(n * k, dtype=ent.dtype)])
 
-    caches: dict[tuple[int, int], tuple[np.ndarray, LstmCache]] = {}
-    for p, t in zip(all_quads[:, 1], all_quads[:, 3]):
-        key = (int(p), int(t))
-        if key not in caches:
-            caches[key] = lstm_forward(ta_tokenize(key[0], key[1], vocab), params)
-    pseqs = np.stack([caches[(int(p), int(t))][0] for p, t in zip(all_quads[:, 1], all_quads[:, 3])])
+    pseqs, cache, inverse = _encode_pairs(params, vocab, all_quads)
 
     s_emb = ent[all_quads[:, 0]]
     o_emb = ent[all_quads[:, 2]]
@@ -634,18 +605,5 @@ def supervised_gradients(
     grads.add_rows("entity_emb", all_quads[:, 0], dscore[:, None] * o_emb * pseqs)
     grads.add_rows("entity_emb", all_quads[:, 2], dscore[:, None] * s_emb * pseqs)
 
-    dpseq_rows = dscore[:, None] * s_emb * o_emb
-    dpseq_acc: dict[tuple[int, int], np.ndarray] = {}
-    for row, (p, t) in enumerate(zip(all_quads[:, 1], all_quads[:, 3])):
-        key = (int(p), int(t))
-        if key in dpseq_acc:
-            dpseq_acc[key] += dpseq_rows[row]
-        else:
-            dpseq_acc[key] = dpseq_rows[row].copy()
-    for key, dh in dpseq_acc.items():
-        _h, cache = caches[key]
-        dx, dense = lstm_backward(params, cache, dh)
-        grads.add_rows("token_emb", cache.tokens, dx)
-        for name, grad in dense.items():
-            grads.add_dense(name, grad)
+    _backprop_pairs(params, cache, inverse, dscore[:, None] * s_emb * o_emb, grads)
     return loss, grads

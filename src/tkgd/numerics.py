@@ -72,21 +72,18 @@ def softmax_with_temperature(logits: np.ndarray, tau: float = 1.0) -> np.ndarray
     >>> softmax_with_temperature(np.array([2.0, 0.0]), 1.0).round(6).tolist()
     [0.880797, 0.119203]
     """
-    z = np.asarray(logits)
-    if z.size == 0:
-        raise ValueError("softmax of an empty score vector is undefined")
-    if not np.all(np.isfinite(z)):
-        raise ValueError("softmax input contains non-finite entries")
-    if not np.isfinite(tau) or tau <= 0:
-        raise ValueError(f"temperature must be positive, got {tau}")
-    z = z / z.dtype.type(tau) if np.issubdtype(z.dtype, np.floating) else z / tau
-    z = z - z.max(axis=-1, keepdims=True)
-    e = np.exp(z)
+    e = np.exp(_shifted_logits(logits, tau))
     return e / e.sum(axis=-1, keepdims=True)
 
 
 def log_softmax_with_temperature(logits: np.ndarray, tau: float = 1.0) -> np.ndarray:
     """Log of softmax_with_temperature, computed without forming the softmax."""
+    z = _shifted_logits(logits, tau)
+    return z - np.log(np.exp(z).sum(axis=-1, keepdims=True))
+
+
+def _shifted_logits(logits: np.ndarray, tau: float) -> np.ndarray:
+    """Validated logits divided by tau, less their maximum along the last axis."""
     z = np.asarray(logits)
     if z.size == 0:
         raise ValueError("softmax of an empty score vector is undefined")
@@ -95,8 +92,7 @@ def log_softmax_with_temperature(logits: np.ndarray, tau: float = 1.0) -> np.nda
     if not np.isfinite(tau) or tau <= 0:
         raise ValueError(f"temperature must be positive, got {tau}")
     z = z / z.dtype.type(tau) if np.issubdtype(z.dtype, np.floating) else z / tau
-    z = z - z.max(axis=-1, keepdims=True)
-    return z - np.log(np.exp(z).sum(axis=-1, keepdims=True))
+    return z - z.max(axis=-1, keepdims=True)
 
 
 def adagrad_step(

@@ -50,10 +50,10 @@ def train_supervised(
 
     Each epoch shuffles the training facts, pairs every positive with
     neg_samples corrupted facts, and applies one adaptive-gradient step per
-    batch.  The validation split is scored every eval_every epochs (and on
-    the last one); the returned parameters are the snapshot with the best
-    validation reciprocal-rank mean, or the final state if validation never
-    improved on the initial score.
+    batch.  The validation split is scored every eval_every epochs and on
+    the last one; there is no evaluation before training, so the first
+    evaluation always becomes the best so far.  The returned parameters are
+    the snapshot with the best validation reciprocal-rank mean.
     """
     if epochs < 0:
         raise ValueError("epochs must be non-negative")

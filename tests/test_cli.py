@@ -251,6 +251,18 @@ class TestFailureModes:
         assert main(["evaluate", "--config", bigger, "--checkpoint", teacher]) == 1
         assert "does not match the dataset" in capsys.readouterr().err
 
+    def test_bucket_count_mismatch_detected(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        cfg = _write(tmp_path, _with(BASE_CONFIG, n_buckets="3"))
+        assert main(["train-teacher", "--config", cfg]) == 0
+        teacher = str(tmp_path / "out" / "teacher.ckpt")
+        more = _write(tmp_path, _with(BASE_CONFIG, n_buckets="8"), name="more.ini")
+        capsys.readouterr()
+        assert main(["evaluate", "--config", more, "--checkpoint", teacher]) == 1
+        err = capsys.readouterr().err
+        assert "error:" in err and "time buckets" in err
+        assert "Traceback" not in err
+
     def test_cache_llm_requires_llm_mode(self, tmp_path, monkeypatch, capsys):
         monkeypatch.chdir(tmp_path)
         cfg = _write(tmp_path, _with(BASE_CONFIG, mode="none"))

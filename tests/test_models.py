@@ -241,22 +241,35 @@ class TestLstm:
     def test_backward_matches_finite_differences(self):
         params = init_params("tadistmult", 3, 4, 2, 2, seed=21, dtype=np.float64)
         vocab = _vocab(4, 2, [1905, 1960])
-        tokens = ta_tokenize(1, 1, vocab)
-        dh = np.array([0.3, -1.1, 0.7])
+        single = ta_tokenize(1, 1, vocab)
+        cases = [
+            (single, np.array([0.3, -1.1, 0.7])),
+            # a (3, 5) batch whose first and last rows repeat one sequence
+            (
+                np.stack([single, ta_tokenize(0, 0, vocab), single]),
+                np.array([[0.3, -1.1, 0.7], [-0.4, 0.2, 0.9], [1.3, 0.5, -0.8]]),
+            ),
+        ]
+        for tokens, dh in cases:
 
-        def loss():
-            h, _ = lstm_forward(tokens, params)
-            return float(h @ dh)
+            def loss():
+                h, _ = lstm_forward(tokens, params)
+                return float(np.sum(h * dh))
 
-        _, cache = lstm_forward(tokens, params)
-        dx, dense = lstm_backward(params, cache, dh)
-        arrays = {name: t.values for name, t in params.tables().items() if name != "entity_emb"}
-        grads = dict(dense)
-        token_grad = np.zeros_like(params.token_emb.values)
-        np.add.at(token_grad, cache.tokens, dx)
-        grads["token_emb"] = token_grad
-        err = finite_diff_check(loss, arrays, grads)
-        assert err < 1e-6
+            _, cache = lstm_forward(tokens, params)
+            # each batch row carries the same states as a 1-D run of that sequence
+            for row, h_row, c_row in zip(tokens.reshape(-1, 5), cache.h.reshape(-1, 5, 3), cache.c.reshape(-1, 5, 3)):
+                _, alone = lstm_forward(row, params)
+                assert np.max(np.abs(h_row - alone.h)) < 1e-12
+                assert np.max(np.abs(c_row - alone.c)) < 1e-12
+            dx, dense = lstm_backward(params, cache, dh)
+            arrays = {name: t.values for name, t in params.tables().items() if name != "entity_emb"}
+            grads = dict(dense)
+            token_grad = np.zeros_like(params.token_emb.values)
+            np.add.at(token_grad, cache.tokens.reshape(-1), dx.reshape(-1, 3))
+            grads["token_emb"] = token_grad
+            err = finite_diff_check(loss, arrays, grads)
+            assert err < 1e-6
 
 
 class TestTADistMultScore:
