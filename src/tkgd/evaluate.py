@@ -3,21 +3,29 @@
 Every fact in a split yields two queries, one per corrupted slot, so a report
 covers 2 * |split| ranks.  Raw mode ranks against every entity; filtered mode
 first removes candidates that complete a different known fact.
+
+evaluate() scores the split in row blocks with batch_candidate_scores, the
+scorer training uses, and ranks each block at once through rank_of, masked by
+the known facts in filtered mode.  brute_force_oracle shares none of that path
+and is the independent check.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .graph import Dataset, DataError, Quadruple, build_candidates, filter_candidates
-from .models import Params, score_candidates, score_quadruple
+from .graph import Dataset, DataError
+from .models import Params, batch_candidate_scores, score_quadruple
 
 __all__ = ["RankingReport", "rank_of", "evaluate", "brute_force_oracle"]
 
 HITS_KS = (1, 3, 10)
 TIE_POLICIES = ("pessimistic", "optimistic", "mean")
 MODES = ("raw", "filtered")
+
+# Scores held per block of ranked rows: a block spans this // |E| rows.
+_BLOCK_SCORES = 131_072
 
 
 @dataclass
@@ -42,26 +50,43 @@ class RankingReport:
         }
 
 
-def rank_of(scores: np.ndarray, gt_index: int, tie_policy: str = "pessimistic") -> int:
+def rank_of(
+    scores: np.ndarray, gt_index, tie_policy: str = "pessimistic", keep: np.ndarray | None = None
+) -> int | np.ndarray:
     """1-indexed rank of the ground-truth candidate under higher-is-better scores.
 
+    scores is one (n,) candidate vector with an int gt_index, giving an int,
+    or an (m, n) block with one index per row, giving an (m,) int64 array.
     The base rank counts strictly better candidates.  Ties with the ground
     truth resolve by policy: pessimistic places it after every tied
-    candidate, optimistic before, and mean adds floor(ties / 2).
+    candidate, optimistic before, and mean adds floor(ties / 2).  keep, shaped
+    like scores, masks candidates out: a masked candidate counts neither as
+    better nor as tied.  The ground truth itself must be kept.
     """
     if tie_policy not in TIE_POLICIES:
         raise ValueError(f"unknown tie policy {tie_policy!r}; expected one of {TIE_POLICIES}")
     scores = np.asarray(scores)
-    if not (0 <= gt_index < scores.size):
-        raise ValueError("ground-truth index out of range")
-    gt = scores[gt_index]
-    greater = int(np.sum(scores > gt))
-    ties = int(np.sum(scores == gt)) - 1
-    if tie_policy == "pessimistic":
-        return 1 + greater + ties
+    block = np.atleast_2d(scores)
+    gt = np.asarray(gt_index, dtype=np.int64).reshape(-1)
+    if block.ndim != 2 or gt.shape != (len(block),) or np.any((gt < 0) | (gt >= block.shape[1])):
+        raise ValueError("ground-truth index out of range, or not one index per row of scores")
+    rows = np.arange(len(block))
+    gt_scores = block[rows, gt][:, None]
+    better = block > gt_scores
+    tied = block == gt_scores
+    if keep is not None:
+        keep = np.asarray(keep, dtype=bool).reshape(block.shape)
+        if not keep[rows, gt].all():
+            raise ValueError("keep must keep the ground truth")
+        better &= keep
+        tied &= keep
+    ties = tied.sum(axis=1) - 1
     if tie_policy == "optimistic":
-        return 1 + greater
-    return 1 + greater + ties // 2
+        ties = 0
+    elif tie_policy == "mean":
+        ties = ties // 2
+    ranks = 1 + better.sum(axis=1) + ties
+    return int(ranks[0]) if scores.ndim == 1 else ranks
 
 
 def metrics_from_ranks(ranks: np.ndarray, ks: tuple[int, ...] = HITS_KS) -> tuple[float, float, dict[int, float]]:
@@ -75,29 +100,39 @@ def metrics_from_ranks(ranks: np.ndarray, ks: tuple[int, ...] = HITS_KS) -> tupl
     return mr, mrr, hits
 
 
+def _keep_mask(dataset: Dataset, quads: np.ndarray, slot: str, truth: np.ndarray) -> np.ndarray:
+    """(m, |E|) filtered-candidate mask: other known completions drop, the truth stays."""
+    keep = np.ones((len(quads), dataset.vocab.n_entities), dtype=bool)
+    for i, (s, p, o, t) in enumerate(quads.tolist()):
+        known = dataset.known.objects_for(s, p, t) if slot == "object" else dataset.known.subjects_for(p, o, t)
+        keep[i, list(known)] = False
+    keep[np.arange(len(quads)), truth] = True
+    return keep
+
+
 def _query_ranks(
     params: Params,
     dataset: Dataset,
     split: str,
     mode: str,
     tie_policy: str,
-) -> list[int]:
+) -> np.ndarray:
+    """Ranks in row order, the subject slot before the object slot."""
     facts = dataset.split(split)
     if len(facts) == 0:
         raise DataError(f"cannot evaluate on empty split {split!r}")
     if mode not in MODES:
         raise ValueError(f"unknown mode {mode!r}; expected one of {MODES}")
     vocab = dataset.vocab
-    ranks: list[int] = []
-    for row in facts:
-        quad = Quadruple(*(int(v) for v in row))
-        for slot in ("subject", "object"):
-            cs = build_candidates(quad, slot, vocab)
-            if mode == "filtered":
-                cs = filter_candidates(cs, dataset.known)
-            scores = score_candidates(params, cs, vocab)
-            ranks.append(rank_of(scores, cs.ground_truth_index, tie_policy))
-    return ranks
+    ranks = np.empty((len(facts), 2), dtype=np.int64)
+    block_rows = max(1, _BLOCK_SCORES // vocab.n_entities)
+    for lo in range(0, len(facts), block_rows):
+        quads = facts[lo : lo + block_rows]
+        for col, (slot, truth) in enumerate((("subject", quads[:, 0]), ("object", quads[:, 2]))):
+            scores = batch_candidate_scores(params, vocab, quads, slot)
+            keep = _keep_mask(dataset, quads, slot, truth) if mode == "filtered" else None
+            ranks[lo : lo + len(quads), col] = rank_of(scores, truth, tie_policy, keep)
+    return ranks.ravel()
 
 
 def evaluate(
@@ -109,7 +144,7 @@ def evaluate(
 ) -> RankingReport:
     """Rank every query in the split with both corruption directions pooled."""
     ranks = _query_ranks(params, dataset, split, mode, tie_policy)
-    mr, mrr, hits = metrics_from_ranks(np.asarray(ranks))
+    mr, mrr, hits = metrics_from_ranks(ranks)
     return RankingReport(
         n_queries=len(ranks), mr=mr, mrr=mrr, hits=hits, mode=mode, tie_policy=tie_policy
     )

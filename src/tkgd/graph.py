@@ -270,14 +270,6 @@ class Dataset:
             raise DataError(f"unknown split {name!r}; expected one of {SPLIT_NAMES}")
         return getattr(self, name)
 
-    def snapshots(self, split: str = "train") -> dict[int, np.ndarray]:
-        """Facts grouped by time bucket, keyed by bucket id, ascending."""
-        arr = self.split(split)
-        out: dict[int, np.ndarray] = {}
-        for t in np.unique(arr[:, 3]):
-            out[int(t)] = arr[arr[:, 3] == t]
-        return out
-
     def digest(self) -> str:
         """Stable content hash over vocabulary and all three splits."""
         h = hashlib.sha256()
@@ -518,29 +510,32 @@ def filter_candidates(cs: CandidateSet, known: KnownFacts) -> CandidateSet:
 
 
 def sample_negatives(
-    query: Quadruple | tuple[int, int, int, int],
-    n: int,
+    facts: np.ndarray | Quadruple | tuple[int, int, int, int],
+    k: int,
     vocab: Vocabulary,
     rng: np.random.Generator,
 ) -> np.ndarray:
-    """Uniform negative samples for one positive fact.
+    """k negatives per fact: one (4,) fact gives (k, 4), an (n, 4) batch (n, k, 4).
 
-    Each sample corrupts the subject or the object with equal probability,
-    replacing it with a uniformly chosen different entity.  Returns an
-    (n, 4) int64 array.
+    Each negative flips a fair coin for its slot (1 the object, 0 the
+    subject), then draws a uniform replacement among the other |E| - 1
+    entities, so the original fact never comes back out.  All (n, k) coins are
+    drawn before all replacements.
     """
-    q = Quadruple(*(int(x) for x in query))
     n_e = vocab.n_entities
     if n_e < 2:
         raise DataError("negative sampling needs at least two entities")
-    out = np.tile(np.asarray(q, dtype=np.int64), (n, 1))
-    corrupt_subject = rng.integers(0, 2, size=n).astype(bool)
-    replacements = rng.integers(0, n_e - 1, size=n)
-    originals = np.where(corrupt_subject, q.s, q.o)
-    replacements = replacements + (replacements >= originals)
-    out[corrupt_subject, 0] = replacements[corrupt_subject]
-    out[~corrupt_subject, 2] = replacements[~corrupt_subject]
-    return out
+    facts = np.asarray(facts, dtype=np.int64)
+    batch = facts.reshape(-1, 4)
+    n = len(batch)
+    negatives = np.repeat(batch[:, None, :], k, axis=1)
+    corrupt_object = rng.integers(0, 2, size=(n, k)).astype(bool)
+    slot_col = np.where(corrupt_object, 2, 0)[:, :, None]
+    original = np.take_along_axis(negatives, slot_col, axis=2)[:, :, 0]
+    draws = rng.integers(0, n_e - 1, size=(n, k))
+    draws = draws + (draws >= original)
+    np.put_along_axis(negatives, slot_col, draws[:, :, None], axis=2)
+    return negatives[0] if facts.ndim == 1 else negatives
 
 
 def _split_buckets_by_share(

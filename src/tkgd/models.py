@@ -35,7 +35,6 @@ __all__ = [
     "batch_candidate_scores",
     "batch_candidate_backprop",
     "supervised_gradients",
-    "trilinear_score",
 ]
 
 BACKBONES = ("ttranse", "tadistmult")
@@ -302,11 +301,6 @@ def lstm_backward(
     return dx, dense
 
 
-def trilinear_score(s_vec: np.ndarray, o_vec: np.ndarray, pseq: np.ndarray) -> float:
-    """sum_k s_k * o_k * pseq_k, the decoder of the recurrent backbone."""
-    return float(np.sum(s_vec * o_vec * pseq))
-
-
 def score_quadruple(params: Params, quad, vocab: Vocabulary) -> float:
     """Plausibility of a single fact; higher is better for both backbones."""
     s, p, o, t = (int(v) for v in quad)
@@ -316,7 +310,7 @@ def score_quadruple(params: Params, quad, vocab: Vocabulary) -> float:
         return float(-np.linalg.norm(v))
     pseq, _ = lstm_forward(ta_tokenize(p, t, vocab), params)
     ent = params.entity_emb.values
-    return trilinear_score(ent[s], ent[o], pseq)
+    return float(np.sum(ent[s] * ent[o] * pseq))
 
 
 def _ttranse_fixed_part(params: TTransEParams, quads: np.ndarray, slot: str) -> np.ndarray:
@@ -330,16 +324,9 @@ def _ttranse_fixed_part(params: TTransEParams, quads: np.ndarray, slot: str) -> 
 
 
 def score_candidates(params: Params, cs: CandidateSet, vocab: Vocabulary) -> np.ndarray:
-    """Scores for one query over its candidate list, vectorized."""
-    quad = np.asarray(cs.query, dtype=np.int64).reshape(1, 4)
-    cand_emb = params.entity_emb.values[cs.candidates]
-    if params.backbone == "ttranse":
-        fixed = _ttranse_fixed_part(params, quad, cs.slot)[0]
-        return -np.linalg.norm(fixed[None, :] - cand_emb, axis=1)
-    s, p, o, t = cs.query
-    pseq, _ = lstm_forward(ta_tokenize(p, t, vocab), params)
-    fixed_vec = params.entity_emb.values[s if cs.slot == "object" else o]
-    return cand_emb @ (fixed_vec * pseq)
+    """Scores for one query over its candidate list: a row of batch_candidate_scores."""
+    query = np.asarray(cs.query, dtype=np.int64)
+    return batch_candidate_scores(params, vocab, query[None], cs.slot)[0, cs.candidates]
 
 
 class GradAccum:

@@ -6,29 +6,12 @@ import logging
 import numpy as np
 
 from .evaluate import evaluate
+from .graph import sample_negatives
 from .models import Params, supervised_gradients
 
 logger = logging.getLogger(__name__)
 
 __all__ = ["train_supervised"]
-
-
-def _corrupt_batch(positives: np.ndarray, n_entities: int, k: int, rng: np.random.Generator) -> np.ndarray:
-    """Draw k negatives per positive by replacing one endpoint.
-
-    A fair coin picks the subject or object slot, then a uniform draw over
-    the other n - 1 entities replaces it, so the original fact can never come
-    back out.
-    """
-    n = positives.shape[0]
-    negatives = np.repeat(positives[:, None, :], k, axis=1).copy()
-    corrupt_object = rng.integers(0, 2, size=(n, k)).astype(bool)
-    slot_col = np.where(corrupt_object, 2, 0)
-    original = np.take_along_axis(negatives[:, :, :], slot_col[:, :, None], axis=2)[:, :, 0]
-    draws = rng.integers(0, n_entities - 1, size=(n, k))
-    draws = draws + (draws >= original)
-    np.put_along_axis(negatives, slot_col[:, :, None], draws[:, :, None], axis=2)
-    return negatives
 
 
 def train_supervised(
@@ -68,7 +51,6 @@ def train_supervised(
     n = train.shape[0]
     if n == 0:
         raise ValueError("training split is empty")
-    n_entities = len(dataset.vocab.entity_names)
     best_mrr = -1.0
     best: Params | None = None
     for epoch in range(epochs):
@@ -76,7 +58,7 @@ def train_supervised(
         epoch_loss = 0.0
         for start in range(0, n, batch_size):
             batch = train[order[start : start + batch_size]]
-            negatives = _corrupt_batch(batch, n_entities, neg_samples, rng)
+            negatives = sample_negatives(batch, neg_samples, dataset.vocab, rng)
             loss, grads = supervised_gradients(params, dataset.vocab, batch, negatives, margin=margin)
             if not np.isfinite(loss):
                 raise RuntimeError(f"training diverged at epoch {epoch}: loss is not finite")

@@ -263,6 +263,14 @@ class TestFailureModes:
         assert "error:" in err and "time buckets" in err
         assert "Traceback" not in err
 
+    def test_single_entity_dataset_rejected(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        cfg = _write(tmp_path, _with(BASE_CONFIG, n_entities="1", n_facts="8"))
+        assert main(["train-teacher", "--config", cfg]) == 1
+        err = capsys.readouterr().err
+        assert "error:" in err and "at least two entities" in err
+        assert "Traceback" not in err
+
     def test_cache_llm_requires_llm_mode(self, tmp_path, monkeypatch, capsys):
         monkeypatch.chdir(tmp_path)
         cfg = _write(tmp_path, _with(BASE_CONFIG, mode="none"))

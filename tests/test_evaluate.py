@@ -1,8 +1,18 @@
 """Ranking metric tests, including the cross-check against the slow oracle."""
+import importlib
+
 import numpy as np
 import pytest
 
-from tkgd.graph import DataError, Dataset, Vocabulary, generate_synthetic
+from tkgd.graph import (
+    DataError,
+    Dataset,
+    KnownFacts,
+    Vocabulary,
+    build_candidates,
+    filter_candidates,
+    generate_synthetic,
+)
 from tkgd.evaluate import brute_force_oracle, evaluate, metrics_from_ranks, rank_of
 from tkgd.models import TTransEParams, init_params
 from tkgd.numerics import ParamTensor
@@ -12,26 +22,59 @@ def _tensor(rows):
     return ParamTensor(np.asarray(rows, dtype=np.float64))
 
 
+def _block_rank(scores, gt, tie_policy="pessimistic"):
+    """rank_of on the query stacked as the middle row of a three-row block."""
+    scores = np.asarray(scores, dtype=np.float64)
+    block = np.stack([scores[::-1], scores, -scores])
+    return int(rank_of(block, np.array([0, gt, len(scores) - 1]), tie_policy)[1])
+
+
+def _masked_block_rank(scores, gt, tie_policy="pessimistic"):
+    """rank_of on a two-row block whose extra better and tied candidates are filtered out.
+
+    The keep mask comes from filter_candidates, and the masked rank must equal
+    the 1-D rank over the surviving candidates.
+    """
+    scores = np.asarray(scores, dtype=np.float64)
+    n = len(scores)
+    padded = np.concatenate([scores, [np.inf, scores[gt]]])
+    vocab = Vocabulary([f"e{i}" for i in range(n + 2)], ["r0"], [1900])
+    known = KnownFacts([(0, 0, n, 0), (0, 0, n + 1, 0)])
+    cs = filter_candidates(build_candidates((0, 0, gt, 0), "object", vocab), known)
+    keep = np.isin(np.arange(n + 2), cs.candidates)
+    ranks = rank_of(np.stack([padded, padded]), np.array([gt, gt]), tie_policy, np.stack([keep, keep]))
+    assert ranks[0] == ranks[1] == rank_of(padded[cs.candidates], cs.ground_truth_index, tie_policy)
+    return int(ranks[0])
+
+
+# the 1-D form and the two block forms must agree on every case
+RANKERS = (rank_of, _block_rank, _masked_block_rank)
+
+
 class TestRankOf:
     def test_strict_winner_ranks_first(self):
         scores = np.array([0.1, 0.9, 0.3, -2.0])
-        for policy in ("pessimistic", "optimistic", "mean"):
-            assert rank_of(scores, 1, policy) == 1
+        for rank in RANKERS:
+            for policy in ("pessimistic", "optimistic", "mean"):
+                assert rank(scores, 1, policy) == 1
 
     def test_strict_loser_ranks_last(self):
         scores = np.array([0.1, 0.9, 0.3, -2.0])
-        assert rank_of(scores, 3) == 4
+        for rank in RANKERS:
+            assert rank(scores, 3) == 4
 
     def test_four_way_tie_policies(self):
         scores = np.zeros(4)
-        assert rank_of(scores, 2, "pessimistic") == 4
-        assert rank_of(scores, 2, "optimistic") == 1
-        assert rank_of(scores, 2, "mean") == 2  # 1 + floor(3 / 2)
+        for rank in RANKERS:
+            assert rank(scores, 2, "pessimistic") == 4
+            assert rank(scores, 2, "optimistic") == 1
+            assert rank(scores, 2, "mean") == 2  # 1 + floor(3 / 2)
 
     def test_two_way_tie_mean_floor(self):
         scores = np.array([1.0, 1.0, 0.0])
-        assert rank_of(scores, 0, "mean") == 1
-        assert rank_of(scores, 0, "pessimistic") == 2
+        for rank in RANKERS:
+            assert rank(scores, 0, "mean") == 1
+            assert rank(scores, 0, "pessimistic") == 2
 
     def test_matches_full_sort_on_random_vectors(self, rng):
         for _ in range(50):
@@ -40,14 +83,16 @@ class TestRankOf:
             ordered = sorted(scores.tolist(), reverse=True)
             last = 1 + max(i for i, v in enumerate(ordered) if v == scores[gt])
             first = 1 + min(i for i, v in enumerate(ordered) if v == scores[gt])
-            assert rank_of(scores, gt, "pessimistic") == last
-            assert rank_of(scores, gt, "optimistic") == first
+            for rank in RANKERS:
+                assert rank(scores, gt, "pessimistic") == last
+                assert rank(scores, gt, "optimistic") == first
 
     def test_affine_transform_keeps_ranks(self, rng):
         scores = rng.normal(size=8)
-        for gt in range(8):
-            base = rank_of(scores, gt)
-            assert rank_of(2.5 * scores + 7.0, gt) == base
+        for rank in RANKERS:
+            for gt in range(8):
+                base = rank(scores, gt)
+                assert rank(2.5 * scores + 7.0, gt) == base
 
     def test_rejects_bad_inputs(self):
         with pytest.raises(ValueError):
@@ -56,6 +101,12 @@ class TestRankOf:
             rank_of(np.array([1.0, 2.0]), 2)
         with pytest.raises(ValueError):
             rank_of(np.array([1.0]), -1)
+        with pytest.raises(ValueError):
+            rank_of(np.zeros((2, 3)), np.array([0, 3]))
+        with pytest.raises(ValueError):
+            rank_of(np.zeros((2, 3)), np.array([0]))
+        with pytest.raises(ValueError):
+            rank_of(np.zeros((2, 3)), np.array([0, 1]), keep=np.eye(2, 3, dtype=bool)[::-1])
 
 
 class TestMetrics:
@@ -125,17 +176,21 @@ class TestEvaluate:
 
     @pytest.mark.parametrize("backbone", ["ttranse", "tadistmult"])
     @pytest.mark.parametrize("mode", ["raw", "filtered"])
-    def test_matches_oracle(self, backbone, mode):
-        for seed in range(4):
-            ds = generate_synthetic(10, 2, 3, 60, 0.8, seed=seed)
-            params = init_params(backbone, 4, 10, 2, 3, seed=seed + 100, dtype=np.float64)
-            fast = evaluate(params, ds, split="test", mode=mode)
-            slow = brute_force_oracle(params, ds, split="test", mode=mode)
-            assert fast.n_queries == slow.n_queries
-            assert fast.mr == pytest.approx(slow.mr, abs=1e-9)
-            assert fast.mrr == pytest.approx(slow.mrr, abs=1e-9)
-            for k in (1, 3, 10):
-                assert fast.hits[k] == pytest.approx(slow.hits[k], abs=1e-9)
+    def test_matches_oracle(self, backbone, mode, monkeypatch):
+        module = importlib.import_module("tkgd.evaluate")
+        # the default block covers each split at once; 30 scores make 3-row blocks, the last one ragged
+        for block_scores in (module._BLOCK_SCORES, 30):
+            monkeypatch.setattr(module, "_BLOCK_SCORES", block_scores)
+            for seed in range(4):
+                ds = generate_synthetic(10, 2, 3, 60, 0.8, seed=seed)
+                params = init_params(backbone, 4, 10, 2, 3, seed=seed + 100, dtype=np.float64)
+                fast = evaluate(params, ds, split="test", mode=mode)
+                slow = brute_force_oracle(params, ds, split="test", mode=mode)
+                assert fast.n_queries == slow.n_queries
+                assert fast.mr == pytest.approx(slow.mr, abs=1e-9)
+                assert fast.mrr == pytest.approx(slow.mrr, abs=1e-9)
+                for k in (1, 3, 10):
+                    assert fast.hits[k] == pytest.approx(slow.hits[k], abs=1e-9)
 
     def test_filtered_never_worse_than_raw(self):
         for seed in range(3):

@@ -186,13 +186,6 @@ class TestDataset:
         other.train[0, 0] = (other.train[0, 0] + 1) % 12
         assert other.digest() != small_synth.digest()
 
-    def test_snapshots_group_by_bucket(self, small_synth):
-        snaps = small_synth.snapshots("train")
-        total = sum(len(v) for v in snaps.values())
-        assert total == len(small_synth.train)
-        for t, arr in snaps.items():
-            assert (arr[:, 3] == t).all()
-
     def test_known_facts_cover_all_splits(self, small_synth):
         for split in (small_synth.train, small_synth.valid, small_synth.test):
             for quad in split:

@@ -17,7 +17,6 @@ from tkgd.models import (
     score_quadruple,
     supervised_gradients,
     ta_tokenize,
-    trilinear_score,
 )
 from tkgd.numerics import ParamTensor, finite_diff_check
 
@@ -273,12 +272,6 @@ class TestLstm:
 
 
 class TestTADistMultScore:
-    def test_trilinear_worked_example(self):
-        s = np.array([1.0, 1.0])
-        o = np.array([1.0, 1.0])
-        pseq = np.array([2.0, 3.0])
-        assert trilinear_score(s, o, pseq) == 5.0
-
     def test_zero_sequence_means_zero_score(self):
         params = _zeroed_lstm(init_params("tadistmult", 4, 5, 2, 2, seed=1, dtype=np.float64))
         vocab = _vocab(5, 2, [1900, 1910])

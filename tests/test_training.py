@@ -3,19 +3,24 @@ import numpy as np
 import pytest
 
 from tkgd.evaluate import evaluate
+from tkgd.graph import Vocabulary, sample_negatives
 from tkgd.models import init_params
-from tkgd.training import _corrupt_batch, train_supervised
+from tkgd.training import train_supervised
 
 
 def _params_equal(a, b):
     return all(np.array_equal(a.tables()[n].values, b.tables()[n].values) for n in a.tables())
 
 
+def _vocab(n_entities):
+    return Vocabulary([f"e{i}" for i in range(n_entities)], ["r0", "r1"], [1900, 1910])
+
+
 class TestCorruptBatch:
     def test_never_reproduces_the_positive(self, rng):
         positives = np.array([[3, 1, 7, 0], [2, 0, 2, 1]], dtype=np.int64)
         for _ in range(50):
-            negatives = _corrupt_batch(positives, 10, 4, rng)
+            negatives = sample_negatives(positives, 4, _vocab(10), rng)
             assert negatives.shape == (2, 4, 4)
             for i in range(2):
                 for j in range(4):
@@ -23,7 +28,7 @@ class TestCorruptBatch:
 
     def test_exactly_one_endpoint_changes(self, rng):
         positives = np.array([[3, 1, 7, 0]], dtype=np.int64)
-        negatives = _corrupt_batch(positives, 10, 200, rng)
+        negatives = sample_negatives(positives, 200, _vocab(10), rng)
         for neg in negatives[0]:
             assert neg[1] == 1 and neg[3] == 0  # relation and time untouched
             changed = int(neg[0] != 3) + int(neg[2] != 7)
@@ -31,13 +36,13 @@ class TestCorruptBatch:
 
     def test_draws_stay_in_vocabulary(self, rng):
         positives = np.array([[0, 0, 4, 0]], dtype=np.int64)
-        negatives = _corrupt_batch(positives, 5, 500, rng)
+        negatives = sample_negatives(positives, 500, _vocab(5), rng)
         assert negatives[:, :, [0, 2]].min() >= 0
         assert negatives[:, :, [0, 2]].max() < 5
 
     def test_both_slots_get_corrupted(self, rng):
         positives = np.array([[3, 1, 7, 0]], dtype=np.int64)
-        negatives = _corrupt_batch(positives, 10, 400, rng)
+        negatives = sample_negatives(positives, 400, _vocab(10), rng)
         subject_changed = np.mean(negatives[0, :, 0] != 3)
         object_changed = np.mean(negatives[0, :, 2] != 7)
         # a fair coin picks the slot
