@@ -234,21 +234,25 @@ def _cmd_distill(cfg, outdir: Path, args) -> int:
     handle = _make_llm_handle(cfg, teacher, dataset)
     cache = ScoreCache(outdir / "llm_cache.jsonl") if handle is not None else None
     rng = np.random.default_rng(cfg.seed + 3)
-    best, log = distill_run(
-        teacher,
-        student,
-        dataset,
-        handle,
-        cfg.distill_config(),
-        rng,
-        llm_cache=cache,
-        lr=cfg.lr,
-        eps=cfg.eps,
-        batch_size=cfg.batch_size,
-        eval_every=cfg.eval_every,
-        eval_mode=cfg.eval_mode,
-        tie_policy=cfg.tie_policy,
-    )
+    try:
+        best, log = distill_run(
+            teacher,
+            student,
+            dataset,
+            handle,
+            cfg.distill_config(),
+            rng,
+            llm_cache=cache,
+            lr=cfg.lr,
+            eps=cfg.eps,
+            batch_size=cfg.batch_size,
+            eval_every=cfg.eval_every,
+            eval_mode=cfg.eval_mode,
+            tie_policy=cfg.tie_policy,
+        )
+    finally:
+        if cache is not None:
+            cache.close()
     ckpt = outdir / "student.ckpt"
     save_checkpoint(
         best.params, ckpt, dataset_digest=dataset.digest(), config_digest=cfg.digest(), n_buckets=n_buckets
@@ -285,9 +289,10 @@ def _cmd_evaluate(cfg, outdir: Path, args) -> int:
 
 
 def _read_query_file(path: Path, vocab):
+    """(quads, slots) of a TSV query list."""
     from .graph import DataError, parse_time_token
 
-    queries = []
+    quads, slots = [], []
     with path.open("r", encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
             line = line.rstrip("\n")
@@ -302,17 +307,18 @@ def _read_query_file(path: Path, vocab):
             year = parse_time_token(year_token)
             if year is None:
                 raise DataError(f"{path}:{lineno}: query year must be concrete, got {year_token!r}")
-            quad = (vocab.entity_id(s), vocab.relation_id(p), vocab.entity_id(o), vocab.bucket_for_year(year))
-            queries.append((quad, slot))
-    return queries
+            quads.append((vocab.entity_id(s), vocab.relation_id(p), vocab.entity_id(o), vocab.bucket_for_year(year)))
+            slots.append(slot)
+    return quads, slots
 
 
 def _cmd_cache_llm(cfg, outdir: Path, args) -> int:
+    from contextlib import closing
+
     import numpy as np
 
     from .checkpoint import load_checkpoint
-    from .llm import ScoreCache, score_query
-    from .models import batch_candidate_scores
+    from .llm import ScoreCache, resolve_topk
 
     dataset = _resolve_dataset(cfg)
     teacher_path = outdir / "teacher.ckpt"
@@ -323,20 +329,18 @@ def _cmd_cache_llm(cfg, outdir: Path, args) -> int:
     handle = _make_llm_handle(cfg, teacher, dataset)
     if handle is None:
         raise ValueError("llm.mode is 'none'; nothing to cache")
-    cache = ScoreCache(outdir / "llm_cache.jsonl")
-
     if args.queries:
-        queries = _read_query_file(Path(args.queries), dataset.vocab)
+        quads, slots = _read_query_file(Path(args.queries), dataset.vocab)
     else:
-        queries = [(tuple(int(v) for v in quad), slot) for quad in dataset.train for slot in ("subject", "object")]
+        # the queries distillation issues: each training fact, subject then object
+        quads = np.repeat(dataset.train, 2, axis=0)
+        slots = ["subject", "object"] * len(dataset.train)
 
-    hits = 0
-    for quad, slot in queries:
-        scores = batch_candidate_scores(teacher, dataset.vocab, np.asarray([quad], dtype=np.int64), slot)[0]
-        top = np.argsort(-scores, kind="stable")[: cfg.llm_topk]
-        result = score_query(handle, quad, slot, top, dataset.vocab, cache=cache)
-        hits += int(result.cached)
-    print(f"cache holds {len(cache)} responses ({hits} of {len(queries)} queries were already cached)")
+    with closing(ScoreCache(outdir / "llm_cache.jsonl")) as cache:
+        _, _, _, hits = resolve_topk(
+            handle, teacher, dataset.vocab, quads, slots, cfg.llm_topk, cfg.batch_size, cache=cache
+        )
+    print(f"cache holds {len(cache)} responses ({hits} of {len(slots)} queries were already cached)")
     print(f"  handle calls {handle.calls}")
     return 0
 

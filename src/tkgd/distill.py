@@ -3,10 +3,13 @@
 The student trains against three signals: the teacher's tempered score
 distribution over all candidate entities (blended with a hard cross-entropy
 term), an optional Huber alignment toward language-model rescoring of the
-teacher's top candidates, and a small mean-squared supervised term.  Baseline
-methods swap the objective: pure soft-target transfer, an embedding hint with
-a learned regressor, or relational structure matching on pairwise distances
-and triplet angles.
+teacher's top candidates, and a small mean-squared supervised term.  The
+teacher is frozen, so the alignment targets (each training query's teacher
+shortlist and its language-model scores) are resolved once per run, at the
+first phase-2 epoch, and applied as one array step per batch and slot.
+Baseline methods swap the objective: pure soft-target transfer, an embedding
+hint with a learned regressor, or relational structure matching on pairwise
+distances and triplet angles.
 """
 from __future__ import annotations
 
@@ -214,6 +217,14 @@ def _huber_value(resid: np.ndarray, delta: float) -> np.ndarray:
     return np.where(a <= delta, 0.5 * resid * resid, delta * a - 0.5 * delta * delta)
 
 
+def _huber_rows(llm: np.ndarray, student: np.ndarray, delta: float) -> tuple[np.ndarray, np.ndarray]:
+    """Mean Huber penalty of llm - student along the last axis, and its student gradient."""
+    resid = llm - student
+    loss = np.mean(_huber_value(resid, delta), axis=-1)
+    grad = -np.clip(resid, -delta, delta) / student.shape[-1]
+    return loss, grad
+
+
 def huber_alignment_loss(
     llm_scores: np.ndarray, student_scores: np.ndarray, delta: float = 1.0
 ) -> tuple[float, np.ndarray]:
@@ -229,10 +240,8 @@ def huber_alignment_loss(
     t, s = _check_pair(llm_scores, student_scores)
     if not (delta > 0):
         raise ValueError(f"delta must be positive, got {delta}")
-    resid = t - s
-    loss = float(np.mean(_huber_value(resid, delta)))
-    grad = -np.clip(resid, -delta, delta) / s.size
-    return loss, grad
+    loss, grad = _huber_rows(t, s, delta)
+    return float(loss), grad
 
 
 def supervised_loss(student_scores: np.ndarray, gt_index: int) -> tuple[float, np.ndarray]:
@@ -258,6 +267,18 @@ def total_loss(l1: float, l2: float, l3: float, cfg: DistillConfig) -> float:
     return out
 
 
+def _minmax_rows(scores: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """minmax_normalize along the last axis: (normalized rows, slope per row) in float64."""
+    s = np.asarray(scores, dtype=np.float64)
+    lo = s.min(axis=-1, keepdims=True)
+    span = s.max(axis=-1, keepdims=True) - lo
+    flat = span == 0.0
+    span = np.where(flat, 1.0, span)
+    normed = np.where(flat, 0.5, (s - lo) / span)
+    slope = np.where(flat, 0.0, 1.0 / span)[..., 0]
+    return normed, slope
+
+
 def minmax_normalize(scores: np.ndarray) -> tuple[np.ndarray, float]:
     """Map scores to [0, 1] by min and max; returns (normalized, slope).
 
@@ -266,10 +287,10 @@ def minmax_normalize(scores: np.ndarray) -> tuple[np.ndarray, float]:
     to all 0.5 with slope 0.
     """
     s = np.asarray(scores, dtype=np.float64)
-    span = float(s.max() - s.min())
-    if span == 0.0:
-        return np.full_like(s, 0.5), 0.0
-    return (s - s.min()) / span, 1.0 / span
+    if s.ndim != 1 or s.size == 0:
+        raise ValueError("scores must be a non-empty 1-D vector")
+    normed, slope = _minmax_rows(s)
+    return normed, float(slope)
 
 
 def fitnet_hint_loss(
@@ -371,6 +392,61 @@ def rkd_loss(student_embs: np.ndarray, teacher_embs: np.ndarray) -> tuple[float,
 # ---------------------------------------------------------------------------
 
 
+def _align_rows(
+    student_scores: np.ndarray,
+    top: np.ndarray,
+    llm_norm: np.ndarray,
+    usable: np.ndarray,
+    lam: float,
+    delta: float,
+    d_scores: np.ndarray,
+) -> np.ndarray:
+    """Phase-2 alignment of one batch and slot, rows independent.
+
+    Row i's student scores at its shortlist top[i] are min-max normalized and
+    pulled toward the normalized language-model scores llm_norm[i] by the
+    mean Huber penalty.  lam times the gradient, chained through each row's
+    normalization slope, is added into d_scores in place; rows that are not
+    usable are skipped.  Returns the lam-weighted loss of each usable row, in
+    row order.  The arithmetic and its float32 casts are those of
+    minmax_normalize and huber_alignment_loss applied row by row.
+    """
+    rows = np.flatnonzero(usable)
+    top = top[rows]
+    stu_norm, slope = _minmax_rows(student_scores[rows[:, None], top])
+    loss, grad = _huber_rows(llm_norm[rows], stu_norm, delta)
+    coef = (lam * slope)[:, None].astype(d_scores.dtype)
+    d_scores[rows[:, None], top] += coef * grad.astype(d_scores.dtype)
+    return lam * loss
+
+
+def _phase2_targets(
+    teacher: Params, dataset: Dataset, llm_handle, llm_cache, topk: int, batch_size: int
+) -> tuple[tuple[np.ndarray, np.ndarray, np.ndarray], dict]:
+    """Every training query's alignment target, resolved once for the run.
+
+    Returns (top-k candidates, normalized language-model scores, usable
+    flags), each indexed [train row, slot] with slot 0 the subject, and the
+    resolving epoch's llm_hits, llm_misses and llm_unusable counts.
+    """
+    train = dataset.train
+    cand, llm_scores, usable, hits = llm_mod.resolve_topk(
+        llm_handle,
+        teacher,
+        dataset.vocab,
+        np.repeat(train, 2, axis=0),
+        ["subject", "object"] * len(train),
+        topk,
+        batch_size,
+        cache=llm_cache,
+    )
+    llm_norm, _ = _minmax_rows(llm_scores)
+    k = cand.shape[1]
+    targets = (cand.reshape(-1, 2, k), llm_norm.reshape(-1, 2, k), usable.reshape(-1, 2))
+    counts = {"llm_hits": hits, "llm_misses": len(usable) - hits, "llm_unusable": int(np.sum(~usable))}
+    return targets, counts
+
+
 def _batch_iter(n: int, batch_size: int, rng: np.random.Generator):
     perm = rng.permutation(n)
     for start in range(0, n, batch_size):
@@ -397,12 +473,18 @@ def distill_run(
 
     Phase 1 covers cfg.phase1_epochs with the teacher and supervised terms;
     phase 2 adds the language-model alignment.  Baseline methods run their
-    own objective for phase 1 and skip phase 2.  The student snapshot with
-    the best validation MRR is returned (the final state when the validation
-    split is empty or never evaluated).  One log record per epoch:
-    epoch, phase, method, train_loss (the mean loss per query, each training
-    fact counting once per slot), llm_calls, and valid_mrr on evaluation
-    epochs.
+    own objective for phase 1 and skip phase 2.  The teacher is frozen, so
+    each training query's top-llm_topk shortlist and its language-model
+    scores are resolved once per run, at the first phase-2 epoch: without a
+    cache the handle is called once per query per run, and phase 1 never
+    calls it.  The student snapshot with the best validation MRR is returned
+    (the final state when the validation split is empty or never evaluated).
+    One log record per epoch: epoch, phase, method, train_loss (the mean
+    loss per query, each training fact counting once per slot), llm_calls
+    (the handle's cumulative call count), llm_hits, llm_misses and
+    llm_unusable (the queries the epoch answered from the cache, resolved
+    without it, and got no usable scores for; nonzero only in the epoch that
+    resolves the shortlists), and valid_mrr on evaluation epochs.
     """
     if teacher.backbone != student.params.backbone:
         raise ValueError(
@@ -423,12 +505,16 @@ def distill_run(
     best = student.copy()
     best_mrr = -np.inf
     log: list[dict] = []
+    targets = None
 
     for epoch in range(total_epochs):
         phase = 1 if epoch < cfg.phase1_epochs else 2
         lam = cfg.lambda_llm if (cfg.method == "ours" and phase == 2) else 0.0
         epoch_loss = 0.0
         n_queries = 0
+        llm_counts = {"llm_hits": 0, "llm_misses": 0, "llm_unusable": 0}
+        if lam > 0.0 and targets is None:
+            targets, llm_counts = _phase2_targets(teacher, dataset, llm_handle, llm_cache, cfg.llm_topk, batch_size)
 
         for batch in _batch_iter(len(train), batch_size, rng):
             quads = train[batch]
@@ -436,7 +522,7 @@ def distill_run(
             grads = GradAccum(student.params)
             batch_loss = 0.0
 
-            for slot in ("subject", "object"):
+            for si, slot in enumerate(("subject", "object")):
                 t_scores = batch_candidate_scores(teacher, vocab, quads, slot)
                 s_scores = batch_candidate_scores(student.params, vocab, quads, slot)
                 gts = quads[:, 0] if slot == "subject" else quads[:, 2]
@@ -458,23 +544,10 @@ def distill_run(
                     d_scores += cfg.beta * g_sup
 
                 if lam > 0.0:
-                    for row in range(m):
-                        top = np.argsort(-t_scores[row], kind="stable")[: cfg.llm_topk]
-                        result = llm_mod.score_query(
-                            llm_handle,
-                            tuple(int(v) for v in quads[row]),
-                            slot,
-                            top,
-                            vocab,
-                            cache=llm_cache,
-                        )
-                        if not result.usable:
-                            continue
-                        llm_norm, _ = minmax_normalize(result.scores)
-                        stu_norm, slope = minmax_normalize(s_scores[row, top])
-                        l2, g2 = huber_alignment_loss(llm_norm, stu_norm, cfg.delta)
-                        batch_loss += lam * l2
-                        d_scores[row, top] += (lam * slope) * g2.astype(d_scores.dtype)
+                    top, llm_norm, usable = (t[batch, si] for t in targets)
+                    terms = _align_rows(s_scores, top, llm_norm, usable, lam, cfg.delta, d_scores)
+                    for term in terms.tolist():  # one row at a time keeps the loss's summation order
+                        batch_loss += term
 
                 d_scores /= 2.0 * m  # queries per batch: both slots
                 batch_candidate_backprop(student.params, vocab, quads, slot, d_scores, grads)
@@ -515,6 +588,7 @@ def distill_run(
             "method": cfg.method,
             "train_loss": epoch_loss / n_queries,
             "llm_calls": int(getattr(llm_handle, "calls", 0)) if llm_handle is not None else 0,
+            **llm_counts,
         }
         if has_valid and eval_every > 0 and ((epoch + 1) % eval_every == 0 or epoch == total_epochs - 1):
             report = evaluate(student.params, dataset, split="valid", mode=eval_mode, tie_policy=tie_policy)

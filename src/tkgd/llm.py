@@ -21,7 +21,7 @@ import numpy as np
 import requests
 
 from .graph import SyntheticRule, Vocabulary
-from .models import Params, score_quadruple
+from .models import Params, batch_candidate_scores, score_quadruple
 
 logger = logging.getLogger(__name__)
 
@@ -42,11 +42,14 @@ __all__ = [
     "parse_scores",
     "cache_key",
     "score_query",
+    "resolve_topk",
 ]
 
 API_KEY_ENV = "TKGD_LLM_API_KEY"
 MAX_PROMPT_CANDIDATES = 50
 FALLBACK_SCORE = 50.0
+# Longest wait, in seconds, that an HTTP 429 Retry-After header can impose.
+MAX_RETRY_AFTER = 60.0
 
 SYSTEM_PROMPT = (
     "You rate candidate completions of timestamped knowledge-graph facts. "
@@ -170,7 +173,7 @@ def parse_scores(text: str, n_candidates: int) -> list[float] | None:
         idx = int(m.group(1))
         if not (1 <= idx <= n_candidates) or idx in found:
             continue
-        found[idx] = float(np.clip(float(m.group(2)), 0.0, 100.0))
+        found[idx] = min(max(float(m.group(2)), 0.0), 100.0)
     if 2 * len(found) < n_candidates:
         return None
     return [found.get(i, FALLBACK_SCORE) for i in range(1, n_candidates + 1)]
@@ -189,12 +192,15 @@ class ScoreCache:
 
     Reopening the same file replays every record, so a warmed cache answers
     repeat queries without any remote traffic.  Parse failures are cached
-    too; a bad response is not retried on replay.
+    too; a bad response is not retried on replay.  The first put opens one
+    append handle, every record is flushed as it is written, and close()
+    releases the handle.
     """
 
     def __init__(self, path: str | Path | None = None):
         self.path = Path(path) if path is not None else None
         self._records: dict[str, dict] = {}
+        self._fh = None
         if self.path is not None and self.path.exists():
             with self.path.open("r", encoding="utf-8") as fh:
                 for lineno, line in enumerate(fh, start=1):
@@ -216,10 +222,16 @@ class ScoreCache:
     def put(self, record: dict) -> None:
         self._records[record["key"]] = record
         if self.path is not None:
-            self.path.parent.mkdir(parents=True, exist_ok=True)
-            with self.path.open("a", encoding="utf-8") as fh:
-                fh.write(json.dumps(record, sort_keys=True) + "\n")
-                fh.flush()
+            if self._fh is None:
+                self.path.parent.mkdir(parents=True, exist_ok=True)
+                self._fh = self.path.open("a", encoding="utf-8")
+            self._fh.write(json.dumps(record, sort_keys=True) + "\n")
+            self._fh.flush()
+
+    def close(self) -> None:
+        if self._fh is not None:
+            self._fh.close()
+            self._fh = None
 
 
 class TeacherHandle:
@@ -242,9 +254,12 @@ class RemoteTeacher(TeacherHandle):
 
     The request carries the model name, a fixed system message plus the user
     prompt, and sampling temperature 0.  Transient failures retry up to
-    max_retries times with exponential backoff; the final error distinguishes
-    authentication (HTTP 401/403) from transport trouble.  The API key comes
-    from the TKGD_LLM_API_KEY environment variable and nowhere else.
+    max_retries times with exponential backoff; an HTTP 429 whose Retry-After
+    header gives whole seconds waits that long instead (at most
+    MAX_RETRY_AFTER).  An authentication failure (HTTP 401/403) raises
+    LlmAuthError at once, since retrying the same credentials cannot help.
+    The API key comes from the TKGD_LLM_API_KEY environment variable and
+    nowhere else.
     """
 
     def __init__(
@@ -281,13 +296,13 @@ class RemoteTeacher(TeacherHandle):
             ],
             "temperature": 0,
         }
-        auth_failure = False
         last_error: Exception | None = None
         for attempt in range(self.max_retries):
             if self.min_interval > 0:
                 wait = self._last_request + self.min_interval - time.monotonic()
                 if wait > 0:
                     time.sleep(wait)
+            delay = self.backoff * (2.0**attempt)
             try:
                 self._last_request = time.monotonic()
                 resp = requests.post(self.endpoint, json=payload, headers=headers, timeout=self.timeout)
@@ -295,19 +310,19 @@ class RemoteTeacher(TeacherHandle):
                 last_error = exc
             else:
                 if resp.status_code in (401, 403):
-                    auth_failure = True
-                    last_error = LlmAuthError(f"endpoint returned HTTP {resp.status_code}")
-                elif resp.status_code >= 400:
+                    raise LlmAuthError(f"authentication failed: endpoint returned HTTP {resp.status_code}")
+                if resp.status_code >= 400:
                     last_error = LlmTransportError(f"endpoint returned HTTP {resp.status_code}")
+                    retry_after = resp.headers.get("Retry-After", "").strip()
+                    if resp.status_code == 429 and re.fullmatch(r"[0-9]+", retry_after):
+                        delay = min(float(retry_after), MAX_RETRY_AFTER)
                 else:
                     try:
                         return resp.json()["choices"][0]["message"]["content"]
                     except (ValueError, KeyError, IndexError) as exc:
                         last_error = LlmTransportError(f"malformed completion payload: {exc}")
             if attempt < self.max_retries - 1:
-                time.sleep(self.backoff * (2.0**attempt))
-        if auth_failure:
-            raise LlmAuthError(f"authentication failed after {self.max_retries} attempts: {last_error}")
+                time.sleep(delay)
         raise LlmTransportError(f"request failed after {self.max_retries} attempts: {last_error}")
 
 
@@ -431,3 +446,45 @@ def score_query(
             scores=np.full(len(lq.candidates), FALLBACK_SCORE), usable=False, cached=cached
         )
     return LlmResult(scores=np.asarray(record["scores"], dtype=np.float64), usable=True, cached=cached)
+
+
+def resolve_topk(
+    handle: TeacherHandle,
+    teacher: Params,
+    vocab: Vocabulary,
+    quads: np.ndarray,
+    slots,
+    k: int,
+    block: int,
+    cache: ScoreCache | None = None,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, int]:
+    """Language-model scores of the teacher's top-k candidates, one row per query.
+
+    Query i asks for slot slots[i] of quads[i].  The teacher scores the
+    queries in blocks of `block` rows, which bounds the scorer's temporaries,
+    and each row keeps its k best candidates in stable order.  Every query
+    then goes through score_query in row order, so the cache sees the same
+    lookups and writes as one query at a time would give.  Returns the (n, k)
+    candidate ids, their (n, k) scores, the (n,) usable mask and the number
+    of queries answered from the cache.
+    """
+    quads = np.asarray(quads, dtype=np.int64).reshape(-1, 4)
+    slots = np.asarray(slots, dtype=object)
+    n, k = len(quads), min(k, vocab.n_entities)
+    candidates = np.zeros((n, k), dtype=np.int64)
+    scores = np.empty((n, k), dtype=np.float64)
+    usable = np.empty(n, dtype=bool)
+    hits = 0
+    for lo in range(0, n, block):
+        rows = np.arange(lo, min(lo + block, n))
+        for slot in ("subject", "object"):
+            sel = rows[slots[rows] == slot]
+            if sel.size:
+                t_scores = batch_candidate_scores(teacher, vocab, quads[sel], slot)
+                candidates[sel] = np.argsort(-t_scores, axis=1, kind="stable")[:, :k]
+        for i in rows:
+            result = score_query(handle, quads[i], slots[i], candidates[i], vocab, cache=cache)
+            scores[i] = result.scores
+            usable[i] = result.usable
+            hits += int(result.cached)
+    return candidates, scores, usable, hits

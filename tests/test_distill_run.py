@@ -2,9 +2,17 @@
 import numpy as np
 import pytest
 
-from tkgd.distill import DistillConfig, distill_run, make_student
+from tkgd.distill import (
+    DistillConfig,
+    _align_rows,
+    _minmax_rows,
+    distill_run,
+    huber_alignment_loss,
+    make_student,
+    minmax_normalize,
+)
 from tkgd.evaluate import evaluate
-from tkgd.llm import EchoTeacher, PlantedRuleTeacher, ScoreCache
+from tkgd.llm import EchoTeacher, PlantedRuleTeacher, ScoreCache, TeacherHandle
 from tkgd.models import init_params
 
 
@@ -20,6 +28,14 @@ def _student(small_synth, seed=1, method="ours", teacher_dim=None):
 
 def _params_equal(a, b):
     return all(np.array_equal(a.tables()[n].values, b.tables()[n].values) for n in a.tables())
+
+
+class _UnusableTeacher(TeacherHandle):
+    """Answers every prompt with text that holds no scores."""
+
+    def complete(self, query):
+        self.calls += 1
+        return "I cannot rate these."
 
 
 class TestPhases:
@@ -46,6 +62,20 @@ class TestPhases:
         assert log[0]["llm_calls"] == 0
         assert log[1]["llm_calls"] > 0
         assert handle.calls == log[1]["llm_calls"]
+
+    def test_no_cache_calls_handle_once_per_query(self, small_synth):
+        """Shortlists are resolved once per run, so a second phase-2 epoch adds no calls."""
+        teacher = _teacher(small_synth)
+        calls = []
+        for phase2 in (1, 2):
+            handle = EchoTeacher(teacher, small_synth.vocab)
+            cfg = DistillConfig(phase1_epochs=1, phase2_epochs=phase2, llm_topk=5)
+            _, log = distill_run(
+                teacher, _student(small_synth), small_synth, handle, cfg, np.random.default_rng(3)
+            )
+            calls.append(handle.calls)
+            assert [rec["llm_misses"] for rec in log] == [0, handle.calls] + [0] * (phase2 - 1)
+        assert calls == [2 * len(small_synth.train)] * 2
 
     @pytest.mark.parametrize("method", ["bkd", "fitnet", "rkd"])
     def test_baselines_skip_phase_two(self, small_synth, method):
@@ -86,6 +116,21 @@ class TestEquivalences:
         )
         assert handle.calls == 0
         assert _params_equal(out_with.params, out_without.params)
+
+    def test_unusable_answers_equal_no_alignment(self, small_synth):
+        teacher = _teacher(small_synth)
+        cfg = DistillConfig(phase1_epochs=1, phase2_epochs=2, llm_topk=4)
+        handle = _UnusableTeacher("junk")
+        out_junk, log_junk = distill_run(
+            teacher, _student(small_synth), small_synth, handle, cfg, np.random.default_rng(5)
+        )
+        cfg_plain = DistillConfig(phase1_epochs=1, phase2_epochs=2, llm_topk=4, lambda_llm=0.0)
+        out_plain, log_plain = distill_run(
+            teacher, _student(small_synth), small_synth, None, cfg_plain, np.random.default_rng(5)
+        )
+        assert [r["train_loss"] for r in log_junk] == [r["train_loss"] for r in log_plain]
+        assert _params_equal(out_junk.params, out_plain.params)
+        assert [r["llm_unusable"] for r in log_junk] == [0, 2 * len(small_synth.train), 0]
 
     def test_same_seed_bit_identical(self, small_synth):
         teacher = _teacher(small_synth)
@@ -132,6 +177,7 @@ class TestTrainingBehavior:
         assert [rec["epoch"] for rec in log] == [0, 1]
         for rec in log:
             assert {"epoch", "phase", "method", "train_loss", "llm_calls"} <= set(rec)
+            assert rec["llm_hits"] == rec["llm_misses"] == rec["llm_unusable"] == 0
         assert "valid_mrr" not in log[0]
         assert "valid_mrr" in log[1]
 
@@ -173,23 +219,57 @@ class TestTrainingBehavior:
         cache = ScoreCache()
         cfg = DistillConfig(phase1_epochs=0, phase2_epochs=1, llm_topk=4)
         first = EchoTeacher(teacher, small_synth.vocab)
-        distill_run(
+        _, log_cold = distill_run(
             teacher, _student(small_synth), small_synth, first, cfg, np.random.default_rng(7),
             llm_cache=cache,
         )
         assert first.calls > 0
+        assert log_cold[0]["llm_misses"] == first.calls  # each distinct prompt is fetched once
+        assert log_cold[0]["llm_hits"] + log_cold[0]["llm_misses"] == 2 * len(small_synth.train)
         second = EchoTeacher(teacher, small_synth.vocab)
-        out_warm, _ = distill_run(
+        out_warm, log_warm = distill_run(
             teacher, _student(small_synth), small_synth, second, cfg, np.random.default_rng(7),
             llm_cache=cache,
         )
         assert second.calls == 0
+        assert log_warm[0]["llm_misses"] == 0
+        assert log_warm[0]["llm_hits"] == 2 * len(small_synth.train)
         # replay must reproduce the live run exactly, not merely avoid calls
         out_cold, _ = distill_run(
             teacher, _student(small_synth), small_synth,
             EchoTeacher(teacher, small_synth.vocab), cfg, np.random.default_rng(7),
         )
         assert _params_equal(out_warm.params, out_cold.params)
+
+
+class TestAlignRows:
+    def test_matches_per_row_reference(self):
+        """One array step equals minmax_normalize and huber_alignment_loss applied row by row."""
+        rng = np.random.default_rng(0)
+        m, n, k, lam, delta = 6, 9, 4, 0.5, 0.3
+        s_scores = rng.normal(size=(m, n)).astype(np.float32)
+        top = np.stack([rng.permutation(n)[:k] for _ in range(m)])
+        s_scores[1, top[1]] = 0.25  # flat student row: slope 0
+        llm = rng.uniform(0.0, 100.0, size=(m, k))
+        llm[2] = 50.0  # flat language-model row: all 0.5
+        usable = np.array([True, True, True, False, True, True])  # row 3 is skipped
+        d_scores = rng.normal(size=(m, n)).astype(np.float32)
+        before = d_scores.copy()
+
+        ref = d_scores.copy()
+        ref_loss = []
+        for row in np.flatnonzero(usable):
+            llm_norm, _ = minmax_normalize(llm[row])
+            stu_norm, slope = minmax_normalize(s_scores[row, top[row]])
+            l2, g2 = huber_alignment_loss(llm_norm, stu_norm, delta)
+            ref_loss.append(lam * l2)
+            ref[row, top[row]] += (lam * slope) * g2.astype(ref.dtype)
+
+        loss = _align_rows(s_scores, top, _minmax_rows(llm)[0], usable, lam, delta, d_scores)
+        assert d_scores.tobytes() == ref.tobytes()
+        assert np.allclose(loss, ref_loss, rtol=0.0, atol=1e-12)
+        assert not np.array_equal(d_scores[0], before[0])
+        assert np.array_equal(d_scores[3], before[3])
 
 
 class TestValidation:

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from tkgd.distill import huber_alignment_loss, minmax_normalize
+from tkgd import llm
 from tkgd.graph import Vocabulary, generate_synthetic
 from tkgd.llm import (
     API_KEY_ENV,
@@ -24,9 +25,10 @@ from tkgd.llm import (
     cache_key,
     make_query,
     parse_scores,
+    resolve_topk,
     score_query,
 )
-from tkgd.models import TTransEParams, init_params, score_quadruple
+from tkgd.models import TTransEParams, batch_candidate_scores, init_params, score_quadruple
 from tkgd.numerics import ParamTensor
 
 
@@ -43,7 +45,7 @@ class _CannedTeacher(TeacherHandle):
 
 
 @contextmanager
-def _local_endpoint(status, body: bytes):
+def _local_endpoint(status, body: bytes, headers=None):
     """Tiny throwaway HTTP server so the remote client is tested for real."""
     seen = []
 
@@ -53,6 +55,8 @@ def _local_endpoint(status, body: bytes):
             seen.append((dict(self.headers), json.loads(self.rfile.read(n) or b"{}")))
             self.send_response(status)
             self.send_header("Content-Type", "application/json")
+            for name, value in (headers or {}).items():
+                self.send_header(name, value)
             self.end_headers()
             self.wfile.write(body)
 
@@ -185,6 +189,15 @@ class TestScoreCache:
         assert reopened.get("a")["scores"] == [1.0]
         assert reopened.get("b")["parse_failed"] is True
 
+    def test_put_after_close_appends(self, tmp_path):
+        path = tmp_path / "sub" / "cache.jsonl"
+        cache = ScoreCache(path)
+        cache.put({"key": "a", "scores": [1.0]})
+        cache.close()
+        cache.put({"key": "b", "scores": [2.0]})
+        cache.close()
+        assert [json.loads(line)["key"] for line in path.read_text().splitlines()] == ["a", "b"]
+
     def test_corrupt_line_skipped(self, tmp_path):
         path = tmp_path / "cache.jsonl"
         cache = ScoreCache(path)
@@ -230,6 +243,40 @@ class TestScoreQuery:
         score_query(handle, (0, 0, 1, 0), "object", cands, tiny_vocab)
         score_query(handle, (0, 0, 1, 0), "object", cands, tiny_vocab)
         assert handle.calls == 2
+
+
+class TestResolveTopk:
+    def test_matches_one_query_at_a_time(self):
+        """Block scoring gives each query the shortlist, scores and cache hits of a per-query loop."""
+        ds = generate_synthetic(12, 3, 5, 40, 0.9, seed=7)
+        vocab = ds.vocab
+        teacher = init_params("ttranse", 8, vocab.n_entities, 3, len(vocab.time_buckets), seed=0)
+        quads = np.repeat(ds.train[[0, 1, 0, 2, 3, 1, 4]], 2, axis=0)  # repeated facts hit the cache
+        slots = ["subject", "object"] * 7
+        handle = NoiseTeacher(3)
+        cands, scores, usable, hits = resolve_topk(
+            handle, teacher, vocab, quads, slots, 5, block=3, cache=ScoreCache()
+        )
+        ref_cache, ref = ScoreCache(), []
+        for quad, slot in zip(quads, slots):
+            teacher_scores = batch_candidate_scores(teacher, vocab, quad[None], slot)[0]
+            top = np.argsort(-teacher_scores, kind="stable")[:5]
+            ref.append((top, score_query(handle, quad, slot, top, vocab, cache=ref_cache)))
+        assert np.array_equal(cands, [top for top, _ in ref])
+        assert np.array_equal(scores, [res.scores for _, res in ref])
+        assert usable.tolist() == [res.usable for _, res in ref]
+        assert hits == sum(res.cached for _, res in ref) > 0
+
+    def test_unusable_rows_masked(self, tiny_vocab):
+        teacher = init_params("ttranse", 4, 4, 2, 2, seed=0)
+        quads = np.array([[0, 0, 1, 0], [2, 1, 3, 1]])
+        cands, scores, usable, hits = resolve_topk(
+            _CannedTeacher("no scores"), teacher, tiny_vocab, quads, ["object", "subject"], 10, block=1
+        )
+        assert cands.shape == scores.shape == (2, 4)  # k is capped at the entity count
+        assert not usable.any()
+        assert np.all(scores == 50.0)
+        assert hits == 0
 
 
 class TestEchoTeacher:
@@ -317,8 +364,26 @@ class TestRemoteTeacher:
             handle = RemoteTeacher(url, "some-model", max_retries=2, backoff=0.01)
             with pytest.raises(LlmAuthError):
                 score_query(handle, (0, 0, 1, 0), "object", np.arange(3), tiny_vocab)
-            assert len(seen) == 2  # still retried before giving up
+            assert len(seen) == 1  # the same credentials are not retried
             assert "Authorization" not in seen[0][0]
+
+    @pytest.mark.parametrize(
+        "retry_after, waits_expected",
+        [
+            ("7", [7.0, 7.0]),
+            ("86400", [llm.MAX_RETRY_AFTER, llm.MAX_RETRY_AFTER]),
+            ("Wed, 21 Oct 2015 07:28:00 GMT", [0.01, 0.02]),  # not whole seconds: usual backoff
+        ],
+    )
+    def test_rate_limit_waits_retry_after(self, tiny_vocab, monkeypatch, retry_after, waits_expected):
+        waits = []
+        monkeypatch.setattr(llm.time, "sleep", waits.append)
+        with _local_endpoint(429, b"{}", {"Retry-After": retry_after}) as (url, seen):
+            handle = RemoteTeacher(url, "some-model", max_retries=3, backoff=0.01)
+            with pytest.raises(LlmTransportError, match="HTTP 429"):
+                score_query(handle, (0, 0, 1, 0), "object", np.arange(3), tiny_vocab)
+            assert len(seen) == 3
+        assert waits == waits_expected
 
     def test_success_payload_and_key_header(self, tiny_vocab, monkeypatch):
         monkeypatch.setenv(API_KEY_ENV, "sekrit")
