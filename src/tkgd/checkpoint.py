@@ -7,6 +7,12 @@ carries the backbone tag, dimensions, vocabulary sizes, and the digests of the
 dataset and config that produced the parameters, so a checkpoint can refuse to
 load into the wrong model and can flag a vocabulary mismatch before it turns
 into silently shuffled entities.
+
+The recurrent backbone keeps its LSTM as three stacked tensors w, u and b, but
+the file keeps them as twelve per-gate slices named w_input ... b_output (gates
+in models.GATES order), the layout of files written before the tensors were
+stacked.  Saving splits the tensors, loading concatenates the slices back, so
+every existing file stays readable and re-saves byte for byte.
 """
 from __future__ import annotations
 
@@ -18,7 +24,7 @@ from pathlib import Path
 import numpy as np
 
 from .graph import Vocabulary
-from .models import BACKBONES, Params, TADistMultParams, TTransEParams
+from .models import BACKBONES, GATES, Params, TADistMultParams, TTransEParams
 from .numerics import ParamTensor
 
 logger = logging.getLogger(__name__)
@@ -28,6 +34,18 @@ __all__ = ["CheckpointError", "save_checkpoint", "load_checkpoint", "export_embe
 MAGIC = b"TKGD"
 FORMAT_VERSION = 1
 _DIGEST_BYTES = 32
+_LSTM_TENSORS = ("w", "u", "b")
+
+
+def _file_tensors(params: Params) -> list[tuple[str, np.ndarray]]:
+    """(name, array) pairs in file order, the LSTM tensors split per gate."""
+    out = []
+    for name, t in params.tables().items():
+        if params.backbone == "tadistmult" and name in _LSTM_TENSORS:
+            out.extend((f"{name}_{gate}", part) for gate, part in zip(GATES, np.split(t.values, len(GATES))))
+        else:
+            out.append((name, t.values))
+    return out
 
 
 class CheckpointError(Exception):
@@ -44,30 +62,24 @@ def save_checkpoint(
 ) -> None:
     """Serialize params to path; see the module docstring for the layout."""
     path = Path(path)
-    tables = params.tables()
-    if params.backbone == "ttranse":
-        n_entities = tables["entity_emb"].shape[0]
-        n_relations = tables["relation_emb"].shape[0]
-        if n_buckets is None:
-            n_buckets = tables["time_emb"].shape[0]
-    else:
-        n_entities = tables["entity_emb"].shape[0]
-        n_relations = params.n_relations
-        if n_buckets is None:
-            n_buckets = 0
+    tensors = _file_tensors(params)
+    translation = params.backbone == "ttranse"
+    n_relations = params.relation_emb.shape[0] if translation else params.n_relations
+    if n_buckets is None:
+        n_buckets = params.time_emb.shape[0] if translation else 0
     header = {
         "format_version": FORMAT_VERSION,
         "backbone": params.backbone,
         "dim": params.dim,
-        "n_entities": int(n_entities),
+        "n_entities": int(params.entity_emb.shape[0]),
         "n_relations": int(n_relations),
         "n_buckets": int(n_buckets),
-        "tensors": [[name, list(t.shape)] for name, t in tables.items()],
+        "tensors": [[name, list(t.shape)] for name, t in tensors],
         "dataset_digest": dataset_digest,
         "config_digest": config_digest,
     }
     header_bytes = json.dumps(header, sort_keys=True).encode("utf-8")
-    payload = b"".join(np.ascontiguousarray(t.values, dtype="<f4").tobytes() for t in tables.values())
+    payload = b"".join(np.ascontiguousarray(t, dtype="<f4").tobytes() for _name, t in tensors)
     digest = hashlib.sha256(header_bytes + payload).digest()
     path.parent.mkdir(parents=True, exist_ok=True)
     with path.open("wb") as fh:
@@ -148,20 +160,21 @@ def load_checkpoint(
     offset = 0
     for (_name, shape), count in zip(tensors, counts):
         flat = np.frombuffer(payload, dtype="<f4", count=count, offset=offset)
-        arrays.append(ParamTensor(flat.reshape([int(s) for s in shape]).astype(np.float32, copy=True)))
+        arrays.append(flat.reshape([int(s) for s in shape]).astype(np.float32, copy=True))
         offset += 4 * count
     names = [name for name, _shape in tensors]
     if backbone == "ttranse":
         if names != ["entity_emb", "relation_emb", "time_emb"]:
             raise CheckpointError(f"{path}: unexpected tensor list {names} for backbone {backbone!r}")
-        params: Params = TTransEParams(*arrays)
+        params: Params = TTransEParams(*(ParamTensor(a) for a in arrays))
     else:
-        expected_names = ["entity_emb", "token_emb"] + [
-            f"{p}_{g}" for p in ("w", "u", "b") for g in ("input", "forget", "cell", "output")
-        ]
-        if names != expected_names:
+        if names != ["entity_emb", "token_emb"] + [f"{p}_{g}" for p in _LSTM_TENSORS for g in GATES]:
             raise CheckpointError(f"{path}: unexpected tensor list {names} for backbone {backbone!r}")
-        params = TADistMultParams(*arrays, n_relations=int(header.get("n_relations", 0)))
+        by_name = dict(zip(names, arrays))
+        lstm = [np.concatenate([by_name[f"{p}_{g}"] for g in GATES]) for p in _LSTM_TENSORS]
+        params = TADistMultParams(
+            *(ParamTensor(a) for a in arrays[:2] + lstm), n_relations=int(header.get("n_relations", 0))
+        )
     return params, header
 
 

@@ -7,6 +7,7 @@ Scores live on a 0 to 100 scale.
 """
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 import logging
@@ -97,7 +98,9 @@ class LlmResult:
     cached: bool
 
 
+@functools.lru_cache(maxsize=65536)
 def _sanitize(name: str) -> str:
+    """name on one line; cached, since every prompt repeats the same few names."""
     return re.sub(r"[\t\r\n]+", " ", name)
 
 

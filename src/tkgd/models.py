@@ -4,9 +4,11 @@ Two models share one interface.  The translation backbone scores a fact by
 how short the vector s + p - o + t is (negated, so higher means more
 plausible).  The recurrent-factorization backbone encodes the relation
 together with the year digits through a single-layer LSTM and scores with the
-trilinear product sum_k s_k * o_k * pseq_k.  The encoder input depends only on
-the (relation, bucket) pair, so batched scoring and training run the LSTM once
-per distinct pair in the batch, all pairs as one (n, L) token batch.
+trilinear product sum_k s_k * o_k * pseq_k.  The LSTM's input weights, recurrent
+weights and biases are three tensors, each with its four gates stacked in GATES
+order.  The encoder input depends only on the (relation, bucket) pair, so
+batched scoring and training run the LSTM once per distinct pair in the batch,
+all pairs as one (n, L) token batch.
 
 All gradients in this file are written out by hand; there is no autodiff
 anywhere.  Every backward path is validated against central finite
@@ -80,24 +82,17 @@ class TADistMultParams:
     """Embeddings plus LSTM weights for the recurrent-factorization backbone.
 
     token_emb stacks the relation tokens (rows 0..n_relations-1) followed by
-    the ten year-digit tokens.  The LSTM is single layer with hidden size
-    equal to the embedding dimension.
+    the ten year-digit tokens.  The LSTM is single layer with hidden size d
+    equal to the embedding dimension.  w (4d, d) maps the input row, u (4d, d)
+    the previous hidden state, and b (4d,) is the bias; rows k*d..(k+1)*d-1 of
+    each belong to gate GATES[k].
     """
 
     entity_emb: ParamTensor
     token_emb: ParamTensor
-    w_input: ParamTensor
-    w_forget: ParamTensor
-    w_cell: ParamTensor
-    w_output: ParamTensor
-    u_input: ParamTensor
-    u_forget: ParamTensor
-    u_cell: ParamTensor
-    u_output: ParamTensor
-    b_input: ParamTensor
-    b_forget: ParamTensor
-    b_cell: ParamTensor
-    b_output: ParamTensor
+    w: ParamTensor
+    u: ParamTensor
+    b: ParamTensor
     n_relations: int = 0
 
     backbone = "tadistmult"
@@ -107,12 +102,7 @@ class TADistMultParams:
         return self.entity_emb.shape[1]
 
     def tables(self) -> dict[str, ParamTensor]:
-        out = {"entity_emb": self.entity_emb, "token_emb": self.token_emb}
-        for prefix in ("w", "u", "b"):
-            for gate in GATES:
-                name = f"{prefix}_{gate}"
-                out[name] = getattr(self, name)
-        return out
+        return {"entity_emb": self.entity_emb, "token_emb": self.token_emb, "w": self.w, "u": self.u, "b": self.b}
 
     def copy(self) -> "TADistMultParams":
         return TADistMultParams(*(t.copy() for t in self.tables().values()), n_relations=self.n_relations)
@@ -121,10 +111,6 @@ class TADistMultParams:
         return TADistMultParams(
             *(t.astype(dtype) for t in self.tables().values()), n_relations=self.n_relations
         )
-
-    def stacked_gates(self, prefix: str) -> np.ndarray:
-        """The four w_, u_ or b_ tensors stacked in GATES order: (4d, d) or (4d,)."""
-        return np.concatenate([getattr(self, f"{prefix}_{gate}").values for gate in GATES])
 
 
 Params = TTransEParams | TADistMultParams
@@ -174,19 +160,16 @@ def init_params(
     entity = _normalized_rows(rng, n_entities, dim, bound).astype(dtype)
     token = _normalized_rows(rng, n_relations + N_DIGIT_TOKENS, dim, bound).astype(dtype)
     wb = 1.0 / np.sqrt(dim)
-    mats = {}
-    for prefix in ("w", "u"):
-        for gate in GATES:
-            mats[f"{prefix}_{gate}"] = ParamTensor(rng.uniform(-wb, wb, size=(dim, dim)).astype(dtype))
-    biases = {}
-    for gate in GATES:
-        init = np.ones(dim, dtype=dtype) if gate == "forget" else np.zeros(dim, dtype=dtype)
-        biases[f"b_{gate}"] = ParamTensor(init)
+    w = rng.uniform(-wb, wb, size=(4 * dim, dim)).astype(dtype)
+    u = rng.uniform(-wb, wb, size=(4 * dim, dim)).astype(dtype)
+    b = np.zeros(4 * dim, dtype=dtype)
+    b[dim : 2 * dim] = 1.0
     return TADistMultParams(
         entity_emb=ParamTensor(entity),
         token_emb=ParamTensor(token),
-        **mats,
-        **biases,
+        w=ParamTensor(w),
+        u=ParamTensor(u),
+        b=ParamTensor(b),
         n_relations=n_relations,
     )
 
@@ -223,6 +206,11 @@ def _sigmoid(x: np.ndarray) -> np.ndarray:
     return 0.5 + 0.5 * np.tanh(0.5 * x)
 
 
+def _gate_blocks(rows: np.ndarray, d: int) -> tuple[np.ndarray, ...]:
+    """Views of the input, forget, cell and output blocks of (..., 4d) rows."""
+    return rows[..., :d], rows[..., d : 2 * d], rows[..., 2 * d : 3 * d], rows[..., 3 * d :]
+
+
 def lstm_forward(tokens: np.ndarray, params: TADistMultParams) -> tuple[np.ndarray, LstmCache]:
     """Run relation-time token sequences through the LSTM.
 
@@ -235,8 +223,8 @@ def lstm_forward(tokens: np.ndarray, params: TADistMultParams) -> tuple[np.ndarr
         raise ValueError("tokens must be a non-empty (L,) sequence or an (n, L) batch")
     d = params.dim
     x = params.token_emb.values[tokens]
-    pre_x = x @ params.stacked_gates("w").T + params.stacked_gates("b")
-    u_t = params.stacked_gates("u").T
+    pre_x = x @ params.w.values.T + params.b.values
+    u_t = params.u.values.T
     gates = np.empty_like(pre_x)
     c_all = np.empty_like(x)
     h_all = np.empty_like(x)
@@ -247,7 +235,7 @@ def lstm_forward(tokens: np.ndarray, params: TADistMultParams) -> tuple[np.ndarr
         act = gates[..., step, :]
         act[...] = _sigmoid(a)
         act[..., 2 * d : 3 * d] = np.tanh(a[..., 2 * d : 3 * d])
-        i, f, g, o = np.split(act, 4, axis=-1)
+        i, f, g, o = _gate_blocks(act, d)
         c = f * c + i * g
         h = o * np.tanh(c)
         c_all[..., step, :] = c
@@ -262,23 +250,23 @@ def lstm_backward(
 
     Takes the gradient of the loss with respect to the final hidden state,
     shaped like lstm_forward's output, and returns (gradient per input row,
-    gradients for every LSTM matrix and bias).  Input-row gradients line up
-    with cache.tokens; matrix and bias gradients sum over the batch.
+    {"w", "u", "b"} gradients).  Input-row gradients line up with
+    cache.tokens; w, u and b gradients sum over the batch.
     """
     d = cache.x.shape[-1]
     zero = np.zeros_like(cache.h[..., :1, :])
     h_prev = np.concatenate([zero, cache.h[..., :-1, :]], axis=-2)
     c_prev = np.concatenate([zero, cache.c[..., :-1, :]], axis=-2)
     tanh_c = np.tanh(cache.c)
-    u = params.stacked_gates("u")
+    u = params.u.values
 
     da = np.empty_like(cache.gates)
     dh = np.asarray(dh_last, dtype=cache.x.dtype)
     dc_next = np.zeros_like(dh)
     for step in range(cache.tokens.shape[-1] - 1, -1, -1):
-        i, f, g, o = np.split(cache.gates[..., step, :], 4, axis=-1)
+        i, f, g, o = _gate_blocks(cache.gates[..., step, :], d)
         tc = tanh_c[..., step, :]
-        da_i, da_f, da_g, da_o = np.split(da[..., step, :], 4, axis=-1)
+        da_i, da_f, da_g, da_o = _gate_blocks(da[..., step, :], d)
         da_o[...] = dh * tc * o * (1.0 - o)
         dc = dc_next + dh * o * (1.0 - tc * tc)
         da_i[...] = dc * g * i * (1.0 - i)
@@ -287,18 +275,13 @@ def lstm_backward(
         dh = da[..., step, :] @ u
         dc_next = dc * f
 
-    dx = da @ params.stacked_gates("w")
+    dx = da @ params.w.values
     da_rows = da.reshape(-1, 4 * d)
-    stacked = {
+    return dx, {
         "w": da_rows.T @ cache.x.reshape(-1, d),
         "u": da_rows.T @ h_prev.reshape(-1, d),
         "b": da_rows.sum(axis=0),
     }
-    dense = {}
-    for prefix, grad in stacked.items():
-        for gate, part in zip(GATES, np.split(grad, 4)):
-            dense[f"{prefix}_{gate}"] = part
-    return dx, dense
 
 
 def score_quadruple(params: Params, quad, vocab: Vocabulary) -> float:
@@ -333,9 +316,10 @@ class GradAccum:
     """Gradient accumulator over a model's parameter tables.
 
     Embedding-row gradients accumulate sparsely (buffers are dense for speed,
-    but untouched rows are tracked and never updated); LSTM matrices and
-    biases accumulate densely.  apply() performs one Adagrad step per touched
-    parameter in the fixed table order, which keeps training deterministic.
+    but untouched rows are tracked and never updated); LSTM tensors and
+    whole-table gradients (add_dense) accumulate densely.  apply() performs
+    one Adagrad step per touched parameter in the fixed table order, which
+    keeps training deterministic.
     """
 
     def __init__(self, params: Params):
@@ -365,13 +349,6 @@ class GradAccum:
         self._dense.add(name)
         if name in self._touched:
             self._touched[name][:] = True
-
-    def sparse(self, name: str) -> tuple[np.ndarray, np.ndarray]:
-        """Touched row ids (ascending) and their gradient rows."""
-        if name not in self._buf or name in self._dense:
-            raise KeyError(f"no sparse gradient for {name!r}")
-        rows = np.nonzero(self._touched[name])[0]
-        return rows, self._buf[name][rows]
 
     def scale(self, factor: float) -> None:
         for buf in self._buf.values():
@@ -472,7 +449,6 @@ def batch_candidate_backprop(
     dscores = np.asarray(dscores)
     ent = params.entity_emb.values
     m, n_e = dscores.shape
-    all_rows = np.arange(n_e, dtype=np.int64)
 
     if params.backbone == "ttranse":
         fixed = _ttranse_fixed_part(params, quads, slot)
@@ -485,7 +461,7 @@ def batch_candidate_backprop(
             weighted = w[:, :, None] * diff
             grad_fixed -= weighted.sum(axis=1)
             grad_ent[lo:hi] += np.einsum("qjd->jd", weighted)
-        grads.add_rows("entity_emb", all_rows, grad_ent)
+        grads.add_dense("entity_emb", grad_ent)
         if slot == "object":
             grads.add_rows("entity_emb", quads[:, 0], grad_fixed)
             grads.add_rows("relation_emb", quads[:, 1], grad_fixed)
@@ -503,7 +479,7 @@ def batch_candidate_backprop(
     w = fixed_emb * pseqs  # (m, d)
 
     grad_ent_cand = dscores.T @ w  # candidate-side gradient, (|E|, d)
-    grads.add_rows("entity_emb", all_rows, grad_ent_cand)
+    grads.add_dense("entity_emb", grad_ent_cand)
 
     ga = dscores @ ent  # (m, d), gradient with respect to w per query
     grads.add_rows("entity_emb", fixed_idx, ga * pseqs)

@@ -1,5 +1,6 @@
 """Config parsing/validation and the binary checkpoint format."""
 import logging
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -7,7 +8,9 @@ import pytest
 from tkgd.checkpoint import CheckpointError, export_embeddings, load_checkpoint, save_checkpoint
 from tkgd.config import ConfigError, parse_config
 from tkgd.graph import Vocabulary
-from tkgd.models import init_params
+from tkgd.models import GATES, init_params
+
+GATE_SLICE_CKPT = Path(__file__).parent / "fixtures" / "tadistmult_gates.ckpt"
 
 
 def _write_config(tmp_path, text, name="run.ini"):
@@ -183,6 +186,29 @@ class TestCheckpointRoundTrip:
             loaded, _ = load_checkpoint(path, dataset_digest="b" * 64)
         assert loaded is not None
         assert any("different dataset" in rec.message for rec in caplog.records)
+
+
+class TestGateSliceLayout:
+    def test_committed_file_loads_and_resaves_byte_for_byte(self, tmp_path):
+        """The file layout keeps one tensor per LSTM gate, as files written before
+        the gates were stacked into w, u and b.  The fixture was written by that
+        earlier code with
+
+        PYTHONPATH=src python -c "from tkgd.models import init_params; from tkgd.checkpoint import save_checkpoint; save_checkpoint(init_params('tadistmult', 3, 4, 2, 2, seed=0), 'tests/fixtures/tadistmult_gates.ckpt')"
+        """
+        fixture = GATE_SLICE_CKPT.read_bytes()
+        loaded, header = load_checkpoint(GATE_SLICE_CKPT)
+        names = [name for name, _shape in header["tensors"]]
+        assert names == ["entity_emb", "token_emb"] + [f"{p}_{g}" for p in ("w", "u", "b") for g in GATES]
+        assert loaded.b.values.tolist() == [0.0] * 3 + [1.0] * 3 + [0.0] * 6
+        assert loaded.w.shape == (12, 3) and loaded.u.shape == (12, 3)
+
+        resaved = tmp_path / "resaved.ckpt"
+        save_checkpoint(loaded, resaved)
+        assert resaved.read_bytes() == fixture
+        fresh = tmp_path / "fresh.ckpt"
+        save_checkpoint(init_params("tadistmult", 3, 4, 2, 2, seed=0), fresh)
+        assert fresh.read_bytes() == fixture
 
 
 class TestCheckpointCorruption:

@@ -34,11 +34,11 @@ def _tensor(rows):
 
 
 def _zeroed_lstm(params: TADistMultParams) -> TADistMultParams:
-    """Zero every gate matrix and bias, including the forget bias."""
+    """Zero every gate block of w, u and b, including the forget bias."""
     out = params.copy()
-    for prefix in ("w", "u", "b"):
-        for gate in GATES:
-            getattr(out, f"{prefix}_{gate}").values[:] = 0.0
+    for tensor in (out.w, out.u, out.b):
+        for block in np.split(tensor.values, len(GATES)):
+            block[:] = 0.0
     return out
 
 
@@ -54,11 +54,13 @@ class TestInit:
         p = init_params("tadistmult", 6, 7, 3, 4, seed=0)
         assert p.entity_emb.shape == (7, 6)
         assert p.token_emb.shape == (3 + 10, 6)
-        for prefix in ("w", "u"):
-            for gate in GATES:
-                assert getattr(p, f"{prefix}_{gate}").shape == (6, 6)
-        for gate in GATES:
-            assert getattr(p, f"b_{gate}").shape == (6,)
+        for tensor in (p.w, p.u):
+            assert tensor.shape == (4 * 6, 6)
+            for block in np.split(tensor.values, len(GATES)):
+                assert block.shape == (6, 6)
+        assert p.b.shape == (4 * 6,)
+        for block in np.split(p.b.values, len(GATES)):
+            assert block.shape == (6,)
         assert p.n_relations == 3
 
     def test_embedding_rows_unit_norm(self):
@@ -72,9 +74,10 @@ class TestInit:
 
     def test_forget_bias_one_other_biases_zero(self):
         p = init_params("tadistmult", 5, 4, 2, 3, seed=9)
-        assert np.all(p.b_forget.values == 1.0)
+        bias = dict(zip(GATES, np.split(p.b.values, len(GATES))))
+        assert np.all(bias["forget"] == 1.0)
         for gate in ("input", "cell", "output"):
-            assert np.all(getattr(p, f"b_{gate}").values == 0.0)
+            assert np.all(bias[gate] == 0.0)
 
     def test_same_seed_same_params(self):
         a = init_params("tadistmult", 4, 6, 2, 3, seed=42)
@@ -203,10 +206,16 @@ class TestLstm:
             "b_input": 0.05, "b_forget": 1.0, "b_cell": -0.1, "b_output": 0.3,
         }
         token_rows = np.arange(12, dtype=np.float64) * 0.1 - 0.4
+
+        def stacked(prefix):
+            return np.array([weights[f"{prefix}_{gate}"] for gate in GATES])
+
         params = TADistMultParams(
             entity_emb=_tensor([[0.7], [-0.2]]),
             token_emb=ParamTensor(token_rows.reshape(-1, 1).copy()),
-            **{k: _tensor([[v]]) if k[0] in "wu" else ParamTensor(np.array([v])) for k, v in weights.items()},
+            w=_tensor(stacked("w")[:, None]),
+            u=_tensor(stacked("u")[:, None]),
+            b=_tensor(stacked("b")),
             n_relations=2,
         )
         vocab = _vocab(2, 2, [1879, 1900])
@@ -352,9 +361,8 @@ class TestGradAccum:
         params = init_params("ttranse", 2, 4, 2, 2, seed=0, dtype=np.float64)
         grads = GradAccum(params)
         grads.add_rows("entity_emb", np.array([1, 1, 3]), np.array([[1.0, 0.0], [2.0, 0.0], [0.0, 1.0]]))
-        rows, vals = grads.sparse("entity_emb")
-        assert rows.tolist() == [1, 3]
-        assert np.array_equal(vals, np.array([[3.0, 0.0], [0.0, 1.0]]))
+        got = grads.dense_dict()["entity_emb"]
+        assert np.array_equal(got, np.array([[0.0, 0.0], [3.0, 0.0], [0.0, 0.0], [0.0, 1.0]]))
 
     def test_untouched_rows_not_updated_by_apply(self):
         params = init_params("ttranse", 2, 4, 2, 2, seed=0, dtype=np.float64)
@@ -368,10 +376,14 @@ class TestGradAccum:
     def test_dense_dict_full_shapes(self):
         params = init_params("tadistmult", 3, 4, 2, 2, seed=0, dtype=np.float64)
         grads = GradAccum(params)
-        grads.add_dense("w_input", np.ones((3, 3)))
+        input_block = np.zeros((4 * 3, 3))
+        input_block[:3] = 1.0
+        grads.add_dense("w", input_block)
         out = grads.dense_dict()
         assert set(out) == set(params.tables())
-        assert np.array_equal(out["w_input"], np.ones((3, 3)))
+        assert out["w"].shape == (4 * 3, 3)
+        assert np.array_equal(out["w"][:3], np.ones((3, 3)))
+        assert np.all(out["w"][3:] == 0.0)
         assert np.all(out["entity_emb"] == 0.0)
 
     def test_scale(self):
@@ -379,8 +391,8 @@ class TestGradAccum:
         grads = GradAccum(params)
         grads.add_rows("entity_emb", np.array([0]), np.array([[2.0, 4.0]]))
         grads.scale(0.5)
-        _, vals = grads.sparse("entity_emb")
-        assert np.array_equal(vals, np.array([[1.0, 2.0]]))
+        got = grads.dense_dict()["entity_emb"]
+        assert np.array_equal(got, np.array([[1.0, 2.0], [0.0, 0.0], [0.0, 0.0]]))
 
 
 class TestSupervisedGradients:
