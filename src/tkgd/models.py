@@ -8,7 +8,10 @@ trilinear product sum_k s_k * o_k * pseq_k.  The LSTM's input weights, recurrent
 weights and biases are three tensors, each with its four gates stacked in GATES
 order.  The encoder input depends only on the (relation, bucket) pair, so
 batched scoring and training run the LSTM once per distinct pair in the batch,
-all pairs as one (n, L) token batch.
+all pairs as one (n, L) token batch.  Pairs are found through the integer key
+relation * B + bucket and tokenized in one array step; ta_tokenize is the
+per-pair reference.  Sparse row gradients, the per-pair hidden-state gradients
+included, accumulate through numerics.scatter_add_rows.
 
 All gradients in this file are written out by hand; there is no autodiff
 anywhere.  Every backward path is validated against central finite
@@ -21,8 +24,8 @@ from typing import Iterable
 
 import numpy as np
 
-from .graph import CandidateSet, Quadruple, Vocabulary
-from .numerics import ParamTensor, adagrad_step
+from .graph import CandidateSet, Vocabulary
+from .numerics import ParamTensor, adagrad_step, scatter_add_rows
 
 __all__ = [
     "TTransEParams",
@@ -316,8 +319,9 @@ class GradAccum:
     """Gradient accumulator over a model's parameter tables.
 
     Embedding-row gradients accumulate sparsely (buffers are dense for speed,
-    but untouched rows are tracked and never updated); LSTM tensors and
-    whole-table gradients (add_dense) accumulate densely.  apply() performs
+    but untouched rows are tracked and never updated) through
+    scatter_add_rows, which sums repeated rows in index order; LSTM tensors
+    and whole-table gradients (add_dense) accumulate densely.  apply() performs
     one Adagrad step per touched parameter in the fixed table order, which
     keeps training deterministic.
     """
@@ -340,7 +344,7 @@ class GradAccum:
     def add_rows(self, name: str, rows: np.ndarray, grads: np.ndarray) -> None:
         buf = self._ensure(name)
         rows = np.asarray(rows, dtype=np.int64)
-        np.add.at(buf, rows, grads)
+        scatter_add_rows(buf, rows, grads)
         self._touched[name][rows] = True
 
     def add_dense(self, name: str, grad: np.ndarray) -> None:
@@ -409,14 +413,24 @@ def _encode_pairs(
 ) -> tuple[np.ndarray, LstmCache, np.ndarray]:
     """Sequence states of each row's (relation, bucket) pair.
 
-    The LSTM runs once, on the batch of distinct pairs.  Returns the (m, d)
-    per-row states, the forward cache over the distinct pairs, and the index
-    of each row's pair in that cache.
+    The LSTM runs once, on the batch of distinct pairs, taken in ascending
+    (relation, bucket) order through the integer key relation * B + bucket.
+    Their tokens are ta_tokenize's, built for all pairs in one array step.
+    Returns the (m, d) per-row states, the forward cache over the distinct
+    pairs, and the index of each row's pair in that cache.  A relation
+    outside [0, R) or a bucket outside [0, B) raises ValueError.
     """
-    pairs, inverse = np.unique(quads[:, [1, 3]], axis=0, return_inverse=True)
-    inverse = inverse.reshape(-1)
-    tokens = np.array([ta_tokenize(p, t, vocab) for p, t in pairs], dtype=np.int64)
-    states, cache = lstm_forward(tokens.reshape(len(pairs), 1 + YEAR_DIGITS), params)
+    rel, bucket = quads[:, 1], quads[:, 3]
+    n_b = vocab.n_buckets
+    for ids, bound, what in ((rel, vocab.n_relations, "relation"), (bucket, n_b, "bucket")):
+        bad = ids[(ids < 0) | (ids >= bound)]
+        if bad.size:
+            raise ValueError(f"{what} id {int(bad[0])} outside [0, {bound})")
+    keys, inverse = np.unique(rel * n_b + bucket, return_inverse=True)
+    years = np.abs(np.asarray(vocab.time_buckets, dtype=np.int64))[keys % n_b]
+    digits = years[:, None] // 10 ** np.arange(YEAR_DIGITS - 1, -1, -1) % 10
+    tokens = np.concatenate([(keys // n_b)[:, None], vocab.n_relations + digits], axis=1)
+    states, cache = lstm_forward(tokens, params)
     return states[inverse], cache, inverse
 
 
@@ -425,7 +439,7 @@ def _backprop_pairs(
 ) -> None:
     """Chain per-row gradients of the sequence states from _encode_pairs into grads."""
     dh = np.zeros((len(cache.tokens), params.dim), dtype=cache.h.dtype)
-    np.add.at(dh, inverse, dpseq)
+    scatter_add_rows(dh, inverse, dpseq)
     dx, dense = lstm_backward(params, cache, dh)
     grads.add_rows("token_emb", cache.tokens.reshape(-1), dx.reshape(-1, params.dim))
     for name, grad in dense.items():

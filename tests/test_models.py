@@ -8,6 +8,7 @@ from tkgd.models import (
     GradAccum,
     TADistMultParams,
     TTransEParams,
+    _encode_pairs,
     batch_candidate_backprop,
     batch_candidate_scores,
     init_params,
@@ -186,6 +187,34 @@ class TestTokenize:
         b = ta_tokenize(1, 1, vocab)
         assert np.array_equal(a, b)
         assert a.dtype == np.int64
+
+
+class TestEncodePairs:
+    def test_tokens_and_order_match_row_wise_unique(self, rng):
+        vocab = _vocab(4, 3, [-44, 7, 1999, 12345])
+        params = init_params("tadistmult", 4, 4, 3, 4, seed=0, dtype=np.float64)
+        every_pair = [(0, p, 1, t) for p in range(3) for t in range(4)]
+        repeats = np.stack([np.zeros(30), rng.integers(0, 3, 30), np.ones(30), rng.integers(0, 4, 30)], axis=1)
+        quads = np.concatenate([every_pair, repeats]).astype(np.int64)[rng.permutation(42)]
+        states, cache, inverse = _encode_pairs(params, vocab, quads)
+        pairs, want_inverse = np.unique(quads[:, [1, 3]], axis=0, return_inverse=True)
+        want_tokens = np.stack([ta_tokenize(p, t, vocab) for p, t in pairs])
+        assert cache.tokens.dtype == np.int64
+        assert np.array_equal(cache.tokens, want_tokens)
+        assert np.array_equal(inverse, want_inverse.reshape(-1))
+        assert np.array_equal(states, lstm_forward(want_tokens, params)[0][inverse])
+
+    @pytest.mark.parametrize("col,bad", [(1, -1), (1, 3), (3, -2), (3, 4)])
+    def test_out_of_range_ids_rejected(self, col, bad):
+        vocab = _vocab(4, 3, [1900, 1910, 1920, 1930])
+        params = init_params("tadistmult", 4, 4, 3, 4, seed=0, dtype=np.float64)
+        quads = np.array([[0, 1, 2, 1], [1, 2, 3, 0]])
+        quads[1, col] = bad
+        message = f"{'relation' if col == 1 else 'bucket'} id {bad} outside"
+        with pytest.raises(ValueError, match=message):
+            batch_candidate_scores(params, vocab, quads, "object")
+        with pytest.raises(ValueError, match=message):
+            supervised_gradients(params, vocab, quads[:1], quads[1:][None])
 
 
 class TestLstm:

@@ -6,6 +6,7 @@ from tkgd.numerics import (
     adagrad_step,
     finite_diff_check,
     log_softmax_with_temperature,
+    scatter_add_rows,
     softmax_with_temperature,
 )
 
@@ -162,6 +163,33 @@ class TestAdagrad:
     def test_nonfinite_gradient_rejected(self):
         with pytest.raises(ValueError):
             adagrad_step(ParamTensor(np.zeros(2)), np.array([1.0, np.nan]), lr=0.1, eps=1e-8)
+
+
+class TestScatterAddRows:
+    """scatter_add_rows must give the same bytes as the row-wise np.add.at."""
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("n_rows,d,m", [(5, 1, 40), (50, 32, 1408), (7, 3, 0), (1, 4, 9)])
+    def test_bytes_equal_row_wise_add_at(self, rng, dtype, n_rows, d, m):
+        start = rng.normal(size=(n_rows, d)).astype(dtype)
+        want, got = start.copy(), start.copy()
+        # two successive calls onto a nonzero buffer, rows repeating
+        for scale in (1.0, 1e-3):
+            rows = rng.integers(0, n_rows, size=m)
+            grads = (rng.normal(size=(m, d)) * scale).astype(dtype)
+            np.add.at(want, rows, grads)
+            scatter_add_rows(got, rows, grads)
+            assert got.tobytes() == want.tobytes()
+
+    def test_repeated_rows_all_count(self):
+        buf = np.ones((3, 2))
+        scatter_add_rows(buf, np.array([2, 0, 2]), np.array([[1.0, 2.0], [3.0, 4.0], [5.0, 6.0]]))
+        np.testing.assert_array_equal(buf, [[4.0, 5.0], [1.0, 1.0], [7.0, 9.0]])
+
+    def test_non_contiguous_buffer_rejected(self):
+        # a flattened copy would swallow the update silently
+        with pytest.raises(ValueError):
+            scatter_add_rows(np.zeros((4, 6))[:, ::2], np.array([0]), np.ones((1, 3)))
 
 
 class TestFiniteDiff:
