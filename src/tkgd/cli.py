@@ -212,13 +212,14 @@ def _cmd_distill(cfg, outdir: Path, args) -> int:
     from .llm import ScoreCache
 
     dataset = _resolve_dataset(cfg)
+    dataset_digest = dataset.digest()
     n_entities, n_relations, n_buckets = _vocab_sizes(dataset)
     teacher_path = Path(args.teacher) if args.teacher else outdir / "teacher.ckpt"
     teacher, header = load_checkpoint(
         teacher_path,
         expect_backbone=cfg.backbone,
         expect_dim=cfg.teacher_dim,
-        dataset_digest=dataset.digest(),
+        dataset_digest=dataset_digest,
     )
     _check_vocab(header, dataset, teacher_path)
     student = make_student(
@@ -255,7 +256,7 @@ def _cmd_distill(cfg, outdir: Path, args) -> int:
             cache.close()
     ckpt = outdir / "student.ckpt"
     save_checkpoint(
-        best.params, ckpt, dataset_digest=dataset.digest(), config_digest=cfg.digest(), n_buckets=n_buckets
+        best.params, ckpt, dataset_digest=dataset_digest, config_digest=cfg.digest(), n_buckets=n_buckets
     )
     _write_jsonl(outdir / "distill_log.jsonl", log)
     calls = log[-1]["llm_calls"] if log else 0
@@ -269,8 +270,9 @@ def _cmd_evaluate(cfg, outdir: Path, args) -> int:
     from .evaluate import evaluate
 
     dataset = _resolve_dataset(cfg)
+    dataset_digest = dataset.digest()
     ckpt_path = Path(args.checkpoint) if args.checkpoint else outdir / "student.ckpt"
-    params, header = load_checkpoint(ckpt_path, dataset_digest=dataset.digest())
+    params, header = load_checkpoint(ckpt_path, dataset_digest=dataset_digest)
     _check_vocab(header, dataset, ckpt_path)
     report = evaluate(params, dataset, split=args.split, mode=cfg.eval_mode, tie_policy=cfg.tie_policy)
     _print_report(report, args.split)
@@ -279,7 +281,7 @@ def _cmd_evaluate(cfg, outdir: Path, args) -> int:
         "metrics": report.as_dict(),
         "checkpoint_backbone": header["backbone"],
         "checkpoint_dim": header["dim"],
-        "dataset_digest": dataset.digest(),
+        "dataset_digest": dataset_digest,
         "config_digest": cfg.digest(),
     }
     report_path = outdir / "eval_report.json"

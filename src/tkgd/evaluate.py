@@ -5,9 +5,10 @@ covers 2 * |split| ranks.  Raw mode ranks against every entity; filtered mode
 first removes candidates that complete a different known fact.
 
 evaluate() scores the split in row blocks with batch_candidate_scores, the
-scorer training uses, and ranks each block at once through rank_of, masked by
-the known facts in filtered mode.  brute_force_oracle shares none of that path
-and is the independent check.
+scorer training uses, and ranks each block at once through rank_of, masked in
+filtered mode by KnownFacts.keep_mask, a sorted-key lookup of every row's known
+completions.  brute_force_oracle shares none of that path, its known-fact set
+included, and is the independent check.
 """
 from __future__ import annotations
 
@@ -15,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graph import Dataset, DataError
+from .graph import SPLIT_NAMES, Dataset, DataError
 from .models import Params, batch_candidate_scores, score_quadruple
 
 __all__ = ["RankingReport", "rank_of", "evaluate", "brute_force_oracle"]
@@ -100,16 +101,6 @@ def metrics_from_ranks(ranks: np.ndarray, ks: tuple[int, ...] = HITS_KS) -> tupl
     return mr, mrr, hits
 
 
-def _keep_mask(dataset: Dataset, quads: np.ndarray, slot: str, truth: np.ndarray) -> np.ndarray:
-    """(m, |E|) filtered-candidate mask: other known completions drop, the truth stays."""
-    keep = np.ones((len(quads), dataset.vocab.n_entities), dtype=bool)
-    for i, (s, p, o, t) in enumerate(quads.tolist()):
-        known = dataset.known.objects_for(s, p, t) if slot == "object" else dataset.known.subjects_for(p, o, t)
-        keep[i, list(known)] = False
-    keep[np.arange(len(quads)), truth] = True
-    return keep
-
-
 def _query_ranks(
     params: Params,
     dataset: Dataset,
@@ -130,7 +121,7 @@ def _query_ranks(
         quads = facts[lo : lo + block_rows]
         for col, (slot, truth) in enumerate((("subject", quads[:, 0]), ("object", quads[:, 2]))):
             scores = batch_candidate_scores(params, vocab, quads, slot)
-            keep = _keep_mask(dataset, quads, slot, truth) if mode == "filtered" else None
+            keep = dataset.known.keep_mask(quads, slot, vocab.n_entities) if mode == "filtered" else None
             ranks[lo : lo + len(quads), col] = rank_of(scores, truth, tie_policy, keep)
     return ranks.ravel()
 
@@ -159,7 +150,8 @@ def brute_force_oracle(
     """Reference evaluation used to cross-check evaluate() on small fixtures.
 
     Deliberately slow and independent: 64-bit parameters, one unbatched score
-    call per candidate, candidate filtering done by direct set membership,
+    call per candidate, candidate filtering done by membership in its own
+    Python set of the three splits' facts (not the dataset's KnownFacts),
     ranks read off a full descending sort with pessimistic tie placement, and
     metric arithmetic written out long-hand.  Guard rails reject inputs
     beyond 64 entities or 256 facts.
@@ -176,6 +168,7 @@ def brute_force_oracle(
         raise ValueError(f"unknown mode {mode!r}; expected one of {MODES}")
 
     wide = params.astype(np.float64)
+    known = {tuple(fact) for name in SPLIT_NAMES for fact in dataset.split(name).tolist()}
     ranks: list[int] = []
     for row in facts:
         s, p, o, t = (int(v) for v in row)
@@ -188,7 +181,7 @@ def brute_force_oracle(
                     continue
                 if mode == "filtered":
                     trial = (e, p, o, t) if slot == "subject" else (s, p, e, t)
-                    if trial in dataset.known:
+                    if trial in known:
                         continue
                 candidates.append(e)
             scores = []

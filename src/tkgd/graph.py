@@ -3,6 +3,13 @@
 A fact is a quadruple (subject, relation, object, time bucket).  Files are
 tab-separated with entity and relation names as opaque strings and times as
 calendar tokens; everything downstream works on contiguous integer ids.
+
+Datasets are built column-wise: a split file becomes name columns and a year
+array, each distinct time token is parsed once, names map to ids through one
+lookup per column and years to buckets through one searchsorted.  Facts are
+also addressed by integer keys over (E, R, B), the entity, relation and bucket
+counts: duplicate rows are found by key, and KnownFacts, the filtered-ranking
+index, is two sorted key arrays, so every key must fit in int64.
 """
 from __future__ import annotations
 
@@ -11,8 +18,10 @@ import json
 import logging
 import re
 from dataclasses import dataclass, field
+from itertools import chain, compress
+from operator import itemgetter
 from pathlib import Path
-from typing import Iterable, NamedTuple
+from typing import NamedTuple
 
 import numpy as np
 
@@ -142,39 +151,91 @@ class Vocabulary:
                 hi = mid
         return lo if (year - buckets[lo]) <= (buckets[hi] - year) else hi
 
+    def buckets_for_years(self, years) -> np.ndarray:
+        """bucket_for_year over an array of years, as one int64 array."""
+        buckets = np.asarray(self.time_buckets, dtype=np.int64)
+        years = np.asarray(years, dtype=np.int64)
+        hi = np.minimum(np.searchsorted(buckets, years), len(buckets) - 1)
+        lo = np.maximum(hi - 1, 0)
+        return np.where(years - buckets[lo] <= buckets[hi] - years, lo, hi)
+
+
+def _check_key_range(n_entities: int, n_relations: int, n_buckets: int) -> None:
+    """Raise DataError when fact keys over (E, R, B) would not fit in int64."""
+    if n_entities * n_entities * n_relations * n_buckets > np.iinfo(np.int64).max:
+        raise DataError(
+            f"{n_entities} entities, {n_relations} relations and {n_buckets} buckets "
+            "are too many for int64 fact keys"
+        )
+
 
 class KnownFacts:
-    """Set-based index of every fact in the dataset, keyed both ways.
+    """Index of every fact in the dataset as two sorted int64 key arrays.
 
-    objects_for(s, p, t) answers "which objects complete this query", and
-    subjects_for(p, o, t) the mirror question; both are what raw candidate
-    lists get filtered against.
+    E, R and B bound the indexed ids (one more than the largest).  Each fact
+    is stored once under ((s * R + p) * B + t) * E + o and once under
+    ((p * E + o) * B + t) * E + s, so the objects completing (s, p, ?, t), and
+    the subjects completing (?, p, o, t), are one contiguous range of keys.
+    objects_for and subjects_for read such a range as a set; keep_mask reads
+    one range per query row, all rows at once.  Ids outside the indexed range
+    complete no query.
     """
 
-    def __init__(self, quadruples: Iterable[tuple[int, int, int, int]]):
-        self._by_spt: dict[tuple[int, int, int], set[int]] = {}
-        self._by_pot: dict[tuple[int, int, int], set[int]] = {}
-        self._all: set[tuple[int, int, int, int]] = set()
-        for s, p, o, t in quadruples:
-            key = (int(s), int(p), int(o), int(t))
-            if key in self._all:
-                continue
-            self._all.add(key)
-            self._by_spt.setdefault((key[0], key[1], key[3]), set()).add(key[2])
-            self._by_pot.setdefault((key[1], key[2], key[3]), set()).add(key[0])
+    def __init__(self, quadruples: np.ndarray | list[tuple[int, int, int, int]]):
+        facts = np.asarray(quadruples, dtype=np.int64).reshape(-1, 4)
+        if len(facts) and facts.min() < 0:
+            raise DataError("known facts need non-negative ids")
+        top = facts.max(axis=0, initial=0) + 1
+        self._n_e, self._n_r, self._n_b = int(max(top[0], top[2])), int(top[1]), int(top[3])
+        _check_key_range(self._n_e, self._n_r, self._n_b)
+        self._bounds = np.array([self._n_e, self._n_r, self._n_e, self._n_b])
+        s, p, o, t = facts.T
+        self._spto = np.unique(((s * self._n_r + p) * self._n_b + t) * self._n_e + o)
+        self._post = np.unique(((p * self._n_e + o) * self._n_b + t) * self._n_e + s)
 
     def __len__(self) -> int:
-        return len(self._all)
+        return len(self._spto)
 
     def __contains__(self, quad: tuple[int, int, int, int]) -> bool:
-        s, p, o, t = quad
-        return (int(s), int(p), int(o), int(t)) in self._all
+        s, p, o, t = (int(v) for v in quad)
+        return 0 <= o < self._n_e and o in self.objects_for(s, p, t)
 
     def objects_for(self, s: int, p: int, t: int) -> set[int]:
-        return self._by_spt.get((int(s), int(p), int(t)), set())
+        return self._completions(np.array([[s, p, 0, t]]), "object")
 
     def subjects_for(self, p: int, o: int, t: int) -> set[int]:
-        return self._by_pot.get((int(p), int(o), int(t)), set())
+        return self._completions(np.array([[0, p, o, t]]), "subject")
+
+    def _completions(self, query: np.ndarray, slot: str) -> set[int]:
+        keys, base, start, stop = self._ranges(query, slot)
+        return set((keys[start[0] : stop[0]] - base[0]).tolist())
+
+    def _ranges(self, quads: np.ndarray, slot: str) -> tuple[np.ndarray, ...]:
+        """(keys, base, start, stop): row i's completions are keys[start[i]:stop[i]] - base[i]."""
+        quads = np.asarray(quads, dtype=np.int64).reshape(-1, 4)
+        fixed = [0, 1, 3] if slot == "object" else [1, 2, 3]
+        inside = np.all((quads[:, fixed] >= 0) & (quads[:, fixed] < self._bounds[fixed]), axis=1)
+        s, p, o, t = np.where(inside[:, None], quads, 0).T
+        if slot == "object":
+            keys, base = self._spto, ((s * self._n_r + p) * self._n_b + t) * self._n_e
+        else:
+            keys, base = self._post, ((p * self._n_e + o) * self._n_b + t) * self._n_e
+        start = np.searchsorted(keys, base)
+        stop = np.where(inside, np.searchsorted(keys, base + self._n_e), start)
+        return keys, base, start, stop
+
+    def keep_mask(self, quads: np.ndarray, slot: str, n_entities: int) -> np.ndarray:
+        """(m, n_entities) filtered-candidate mask: other known completions drop, the truth stays."""
+        quads = np.asarray(quads, dtype=np.int64).reshape(-1, 4)
+        keys, base, start, stop = self._ranges(quads, slot)
+        counts = stop - start
+        rows = np.repeat(np.arange(len(quads)), counts)
+        # positions start[i] .. stop[i] - 1 of every row, concatenated in row order
+        at = np.arange(counts.sum()) + np.repeat(start - (np.cumsum(counts) - counts), counts)
+        keep = np.ones((len(quads), n_entities), dtype=bool)
+        keep[rows, keys[at] - base[rows]] = False
+        keep[np.arange(len(quads)), quads[:, 2] if slot == "object" else quads[:, 0]] = True
+        return keep
 
 
 @dataclass
@@ -262,8 +323,7 @@ class Dataset:
             if arr[:, 3].max() >= self.vocab.n_buckets:
                 raise DataError(f"{name} split references an unknown time bucket")
         if self.known is None:
-            combined = np.concatenate([self.train, self.valid, self.test], axis=0)
-            self.known = KnownFacts(map(tuple, combined.tolist()))
+            self.known = KnownFacts(np.concatenate([self.train, self.valid, self.test], axis=0))
 
     def split(self, name: str) -> np.ndarray:
         if name not in SPLIT_NAMES:
@@ -307,89 +367,111 @@ class LoadSchema:
             raise DataError(f"time_field must be 'begin' or 'end', got {self.time_field!r}")
 
 
-def _read_split_file(path: Path, schema: LoadSchema) -> list[tuple[str, str, str, int]]:
-    """Parse one split file into (subject, relation, object, year) rows."""
-    rows: list[tuple[str, str, str, int]] = []
-    dropped = 0
+class _SplitColumns(NamedTuple):
+    """One split as parallel columns: subject, relation and object names, int64 years."""
+
+    subjects: list[str]
+    relations: list[str]
+    objects: list[str]
+    years: np.ndarray
+
+
+# Year column value of a token with no usable year; parseable years have at most six digits.
+_NO_YEAR = np.iinfo(np.int64).min
+
+
+def _read_split_file(path: Path, schema: LoadSchema) -> _SplitColumns:
+    r"""Parse one split file column-wise into name columns and a year array.
+
+    Lines end at "\n" (the file is read with universal newlines, so "\r\n"
+    and "\r" end lines too); whitespace-only lines are skipped.  Each distinct
+    time token is parsed once.  A malformed file raises the DataError a
+    line-by-line read would raise first: a short line reports its number, and
+    of the unparseable tokens the first in file order (begin before end within
+    a line) is reported.
+    """
+    lines = path.read_text(encoding="utf-8").split("\n")
+    rows = [line.split("\t") for line in lines if line.strip()]
     min_fields = max(schema.subject_col, schema.relation_col, schema.object_col, schema.begin_col) + 1
-    with path.open("r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.rstrip("\n").rstrip("\r")
-            if not line.strip():
-                continue
-            fields = line.split("\t")
-            if len(fields) < min_fields:
-                raise DataError(
-                    f"{path} line {lineno}: expected at least {min_fields} tab-separated fields, got {len(fields)}"
-                )
-            begin = parse_time_token(fields[schema.begin_col])
-            end = parse_time_token(fields[schema.end_col]) if schema.end_col < len(fields) else None
-            year = begin if schema.time_field == "begin" else end
-            if year is None:
-                year = end if schema.time_field == "begin" else begin
-            if year is None:
-                dropped += 1
-                continue
-            rows.append(
-                (fields[schema.subject_col], fields[schema.relation_col], fields[schema.object_col], year)
-            )
-    if dropped:
-        logger.warning("%s: dropped %d facts with no usable year", path, dropped)
-    return rows
+    short = len(rows)
+    if min(map(len, rows), default=min_fields) < min_fields:
+        short = next(i for i, fields in enumerate(rows) if len(fields) < min_fields)
+    end_col = schema.end_col
+    begin_tokens = list(map(itemgetter(schema.begin_col), rows[:short]))
+    end_tokens = [fields[end_col] if end_col < len(fields) else None for fields in rows[:short]]
+
+    year_of: dict[str | None, int] = {None: _NO_YEAR}
+    errors: dict[str, DataError] = {}
+    for token in set(begin_tokens).union(end_tokens) - {None}:
+        try:
+            year = parse_time_token(token)
+        except DataError as exc:
+            errors[token] = exc
+            continue
+        year_of[token] = _NO_YEAR if year is None else year
+    if errors:
+        raise errors[next(tok for tok in chain.from_iterable(zip(begin_tokens, end_tokens)) if tok in errors)]
+    if short < len(rows):
+        lineno = [n for n, line in enumerate(lines, start=1) if line.strip()][short]
+        raise DataError(
+            f"{path} line {lineno}: expected at least {min_fields} tab-separated fields, got {len(rows[short])}"
+        )
+
+    begin = np.fromiter(map(year_of.__getitem__, begin_tokens), np.int64, len(rows))
+    end = np.fromiter(map(year_of.__getitem__, end_tokens), np.int64, len(rows))
+    first, second = (begin, end) if schema.time_field == "begin" else (end, begin)
+    years = np.where(first != _NO_YEAR, first, second)
+    usable = years != _NO_YEAR
+    names = [list(map(itemgetter(col), rows)) for col in (schema.subject_col, schema.relation_col, schema.object_col)]
+    if not usable.all():
+        logger.warning("%s: dropped %d facts with no usable year", path, int((~usable).sum()))
+        names = [list(compress(col, usable)) for col in names]
+    return _SplitColumns(*names, years[usable])
 
 
 def _build_dataset(
-    named_splits: dict[str, list[tuple[str, str, str, int]]],
+    columns: dict[str, _SplitColumns],
     rule: SyntheticRule | None = None,
     origin: str = "dataset",
 ) -> Dataset:
-    """Assign ids and assemble a Dataset from per-split name rows.
+    """Assign ids and assemble a Dataset from the three splits' name columns.
 
     Entity and relation ids follow first appearance scanning train, valid,
-    test in that order.  Time buckets come from training years only; later
-    splits clamp.  Duplicate quadruples within a split are dropped with a
-    warning.
+    test in that order, subject before object within a row.  Time buckets
+    come from training years only; later splits clamp through
+    Vocabulary.buckets_for_years.  Duplicate quadruples within a split are
+    dropped with a warning, keeping first occurrences in order; they are
+    found by the integer key ((s * R + p) * E + o) * B + t, and a vocabulary
+    whose keys would overflow int64 raises DataError.
     """
-    if not named_splits.get("train"):
+    splits = [columns[name] for name in SPLIT_NAMES]
+    if len(splits[0].years) == 0:
         raise DataError(f"{origin}: training split is empty")
 
-    entity_ids: dict[str, int] = {}
-    relation_ids: dict[str, int] = {}
-    for split in SPLIT_NAMES:
-        for s_name, p_name, o_name, _year in named_splits.get(split, []):
-            for name in (s_name, o_name):
-                if name not in entity_ids:
-                    entity_ids[name] = len(entity_ids)
-            if p_name not in relation_ids:
-                relation_ids[p_name] = len(relation_ids)
-
-    train_years = sorted({year for _s, _p, _o, year in named_splits["train"]})
+    subject_then_object = chain.from_iterable(chain.from_iterable(zip(c.subjects, c.objects)) for c in splits)
     vocab = Vocabulary(
-        entity_names=list(entity_ids),
-        relation_names=list(relation_ids),
-        time_buckets=train_years,
+        entity_names=list(dict.fromkeys(subject_then_object)),
+        relation_names=list(dict.fromkeys(chain.from_iterable(c.relations for c in splits))),
+        time_buckets=np.unique(splits[0].years).tolist(),
     )
+    n_e, n_r, n_b = vocab.n_entities, vocab.n_relations, vocab.n_buckets
+    _check_key_range(n_e, n_r, n_b)
+    entity_id, relation_id = vocab._entity_ids.__getitem__, vocab._relation_ids.__getitem__
 
     arrays: dict[str, np.ndarray] = {}
-    for split in SPLIT_NAMES:
-        seen: set[tuple[int, int, int, int]] = set()
-        quads: list[tuple[int, int, int, int]] = []
-        duplicates = 0
-        for s_name, p_name, o_name, year in named_splits.get(split, []):
-            quad = (
-                entity_ids[s_name],
-                relation_ids[p_name],
-                entity_ids[o_name],
-                vocab.bucket_for_year(year),
-            )
-            if quad in seen:
-                duplicates += 1
-                continue
-            seen.add(quad)
-            quads.append(quad)
-        if duplicates:
-            logger.warning("%s: dropped %d duplicate quadruples from %s split", origin, duplicates, split)
-        arrays[split] = np.asarray(quads, dtype=np.int64).reshape(-1, 4)
+    for split, c in zip(SPLIT_NAMES, splits):
+        n = len(c.years)
+        quads = np.empty((n, 4), dtype=np.int64)
+        quads[:, 0] = np.fromiter(map(entity_id, c.subjects), np.int64, n)
+        quads[:, 1] = np.fromiter(map(relation_id, c.relations), np.int64, n)
+        quads[:, 2] = np.fromiter(map(entity_id, c.objects), np.int64, n)
+        quads[:, 3] = vocab.buckets_for_years(c.years)
+        s, p, o, t = quads.T
+        _, first = np.unique(((s * n_r + p) * n_e + o) * n_b + t, return_index=True)
+        if len(first) < n:
+            logger.warning("%s: dropped %d duplicate quadruples from %s split", origin, n - len(first), split)
+            quads = quads[np.sort(first)]
+        arrays[split] = quads
 
     return Dataset(vocab=vocab, train=arrays["train"], valid=arrays["valid"], test=arrays["test"], rule=rule)
 
@@ -405,19 +487,19 @@ def load_quadruples(path: str | Path, schema: LoadSchema | None = None) -> Datas
     root = Path(path)
     if not root.is_dir():
         raise DataError(f"dataset directory not found: {root}")
-    named: dict[str, list[tuple[str, str, str, int]]] = {}
+    columns: dict[str, _SplitColumns] = {}
     for split in SPLIT_NAMES:
         fpath = root / f"{split}.txt"
         if not fpath.is_file():
             raise DataError(f"missing split file: {fpath}")
-        named[split] = _read_split_file(fpath, schema)
+        columns[split] = _read_split_file(fpath, schema)
 
     rule = None
     rule_path = root / "rule.json"
     if rule_path.is_file():
         rule = SyntheticRule.from_json(rule_path.read_text(encoding="utf-8"))
 
-    ds = _build_dataset(named, rule=rule, origin=str(root))
+    ds = _build_dataset(columns, rule=rule, origin=str(root))
     logger.info(
         "loaded %s: %d entities, %d relations, %d buckets, %d/%d/%d facts",
         root,
@@ -627,14 +709,14 @@ def generate_synthetic(
         seen.add(quad)
         facts.append(quad)
 
-    counts: dict[int, int] = {}
-    for _s, _p, _o, t in facts:
-        counts[t] = counts.get(t, 0) + 1
-    train_b, valid_b, test_b = _split_buckets_by_share(counts)
+    facts_arr = np.asarray(facts, dtype=np.int64)
+    bucket_ids, counts = np.unique(facts_arr[:, 3], return_counts=True)
+    columns: dict[str, _SplitColumns] = {}
+    split_buckets = _split_buckets_by_share(dict(zip(bucket_ids.tolist(), counts.tolist())))
+    for split, buckets in zip(SPLIT_NAMES, split_buckets):
+        s, p, o, t = facts_arr[np.isin(facts_arr[:, 3], sorted(buckets))].T
+        columns[split] = _SplitColumns(
+            [f"e{i}" for i in s.tolist()], [f"r{j}" for j in p.tolist()], [f"e{i}" for i in o.tolist()], 1900 + t
+        )
 
-    named: dict[str, list[tuple[str, str, str, int]]] = {k: [] for k in SPLIT_NAMES}
-    for s, p, o, t in facts:
-        split = "train" if t in train_b else ("valid" if t in valid_b else "test")
-        named[split].append((f"e{s}", f"r{p}", f"e{o}", 1900 + t))
-
-    return _build_dataset(named, rule=rule, origin=f"synthetic(seed={seed})")
+    return _build_dataset(columns, rule=rule, origin=f"synthetic(seed={seed})")

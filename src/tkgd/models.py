@@ -378,6 +378,16 @@ class GradAccum:
         return out
 
 
+def _check_ids(vocab: Vocabulary, quads: np.ndarray) -> None:
+    """Raise ValueError naming the first (row-major) entity, relation or bucket id outside the vocabulary."""
+    bounds = np.array([vocab.n_entities, vocab.n_relations, vocab.n_entities, vocab.n_buckets])
+    bad = (quads < 0) | (quads >= bounds)
+    if bad.any():
+        row, col = np.argwhere(bad)[0]
+        what = ("entity", "relation", "entity", "bucket")[col]
+        raise ValueError(f"{what} id {int(quads[row, col])} outside [0, {int(bounds[col])})")
+
+
 def _candidate_chunks(n_queries: int, dim: int, n_candidates: int) -> Iterable[tuple[int, int]]:
     step = max(1, _CHUNK_ELEMENTS // max(1, n_queries * dim))
     for start in range(0, n_candidates, step):
@@ -390,9 +400,11 @@ def batch_candidate_scores(
     """Scores of every entity as a candidate for each query, shape (m, |E|).
 
     Matches per-candidate scoring through score_quadruple up to floating
-    point roundoff; the batched path only reorders the same arithmetic.
+    point roundoff; the batched path only reorders the same arithmetic.  An
+    entity, relation or bucket id outside the vocabulary raises ValueError.
     """
     quads = np.asarray(quads, dtype=np.int64).reshape(-1, 4)
+    _check_ids(vocab, quads)
     ent = params.entity_emb.values
     m, n_e = len(quads), ent.shape[0]
     if params.backbone == "ttranse":
@@ -417,15 +429,11 @@ def _encode_pairs(
     (relation, bucket) order through the integer key relation * B + bucket.
     Their tokens are ta_tokenize's, built for all pairs in one array step.
     Returns the (m, d) per-row states, the forward cache over the distinct
-    pairs, and the index of each row's pair in that cache.  A relation
-    outside [0, R) or a bucket outside [0, B) raises ValueError.
+    pairs, and the index of each row's pair in that cache.  Callers have
+    checked the ids with _check_ids.
     """
     rel, bucket = quads[:, 1], quads[:, 3]
     n_b = vocab.n_buckets
-    for ids, bound, what in ((rel, vocab.n_relations, "relation"), (bucket, n_b, "bucket")):
-        bad = ids[(ids < 0) | (ids >= bound)]
-        if bad.size:
-            raise ValueError(f"{what} id {int(bad[0])} outside [0, {bound})")
     keys, inverse = np.unique(rel * n_b + bucket, return_inverse=True)
     years = np.abs(np.asarray(vocab.time_buckets, dtype=np.int64))[keys % n_b]
     digits = years[:, None] // 10 ** np.arange(YEAR_DIGITS - 1, -1, -1) % 10
@@ -457,9 +465,10 @@ def batch_candidate_backprop(
     """Chain dL/dscores (m, |E|) into parameter gradients.
 
     The scores are the ones produced by batch_candidate_scores for the same
-    (quads, slot); gradients accumulate into grads.
+    (quads, slot); gradients accumulate into grads.  Ids are checked as there.
     """
     quads = np.asarray(quads, dtype=np.int64).reshape(-1, 4)
+    _check_ids(vocab, quads)
     dscores = np.asarray(dscores)
     ent = params.entity_emb.values
     m, n_e = dscores.shape
@@ -519,12 +528,15 @@ def supervised_gradients(
     distances (margin 1 by default); at zero distance the distance gradient
     is the zero vector.  The recurrent backbone trains with the logistic
     softplus loss over positive and negative labels.  Losses are averaged so
-    batch size does not rescale the learning rate.
+    batch size does not rescale the learning rate.  An entity, relation or
+    bucket id outside the vocabulary raises ValueError.
     """
     positives = np.asarray(positives, dtype=np.int64).reshape(-1, 4)
     negatives = np.asarray(negatives, dtype=np.int64)
     if negatives.ndim != 3 or negatives.shape[0] != len(positives) or negatives.shape[2] != 4:
         raise ValueError("negatives must have shape (n_positives, k, 4)")
+    _check_ids(vocab, positives)
+    _check_ids(vocab, negatives.reshape(-1, 4))
     n, k = negatives.shape[:2]
     grads = GradAccum(params)
 

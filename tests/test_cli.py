@@ -226,6 +226,23 @@ class TestEvaluateCommand:
         assert report["checkpoint_dim"] == 8
 
 
+class TestDatasetDigest:
+    @pytest.mark.parametrize("command", ["distill", "evaluate"])
+    def test_hashed_once_per_command(self, command, tmp_path, monkeypatch):
+        from tkgd.graph import Dataset
+
+        monkeypatch.chdir(tmp_path)
+        cfg = _write(tmp_path)
+        assert main(["train-teacher", "--config", cfg]) == 0
+        if command == "evaluate":
+            assert main(["distill", "--config", cfg]) == 0
+        calls = []
+        digest = Dataset.digest
+        monkeypatch.setattr(Dataset, "digest", lambda self: calls.append(1) or digest(self))
+        assert main([command, "--config", cfg]) == 0
+        assert len(calls) == 1
+
+
 class TestFailureModes:
     def test_bad_config_exits_nonzero(self, tmp_path, capsys):
         cfg = _write(tmp_path, BASE_CONFIG + "\n[model]\nhidden = 3\n")

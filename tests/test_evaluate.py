@@ -219,6 +219,16 @@ class TestEvaluate:
         assert d["n_queries"] == report.n_queries
 
 
+class TestOracleIndependence:
+    def test_filtering_does_not_read_the_dataset_index(self):
+        ds = generate_synthetic(10, 2, 3, 60, 0.8, seed=5)
+        params = init_params("ttranse", 4, 10, 2, 3, seed=6, dtype=np.float64)
+        want = brute_force_oracle(params, ds, split="test", mode="filtered").as_dict()
+        assert want != brute_force_oracle(params, ds, split="test", mode="raw").as_dict()
+        ds.known = KnownFacts(np.empty((0, 4), dtype=np.int64))  # an index that filters nothing
+        assert brute_force_oracle(params, ds, split="test", mode="filtered").as_dict() == want
+
+
 class TestOracleGuards:
     def test_too_many_entities(self):
         ds = generate_synthetic(70, 2, 3, 120, 0.9, seed=0)

@@ -1,7 +1,11 @@
+import logging
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from tkgd.graph import (
+    SPLIT_NAMES,
     DataError,
     Dataset,
     KnownFacts,
@@ -18,6 +22,109 @@ from tkgd.graph import (
     sample_negatives,
     save_dataset,
 )
+
+FIXTURES = Path(__file__).parent / "fixtures"
+GRAPH_LOGGER = logging.getLogger("tkgd.graph")
+
+
+# ---------------------------------------------------------------------------
+# line-by-line reference of the dataset layer: the reader and builder as they
+# were before they went column-wise, kept to pin the array-native ones
+# ---------------------------------------------------------------------------
+
+
+def _reference_read_split_file(path, schema):
+    rows = []
+    dropped = 0
+    min_fields = max(schema.subject_col, schema.relation_col, schema.object_col, schema.begin_col) + 1
+    with path.open("r", encoding="utf-8") as fh:
+        for lineno, line in enumerate(fh, start=1):
+            line = line.rstrip("\n").rstrip("\r")
+            if not line.strip():
+                continue
+            fields = line.split("\t")
+            if len(fields) < min_fields:
+                raise DataError(
+                    f"{path} line {lineno}: expected at least {min_fields} tab-separated fields, got {len(fields)}"
+                )
+            begin = parse_time_token(fields[schema.begin_col])
+            end = parse_time_token(fields[schema.end_col]) if schema.end_col < len(fields) else None
+            year = begin if schema.time_field == "begin" else end
+            if year is None:
+                year = end if schema.time_field == "begin" else begin
+            if year is None:
+                dropped += 1
+                continue
+            rows.append((fields[schema.subject_col], fields[schema.relation_col], fields[schema.object_col], year))
+    if dropped:
+        GRAPH_LOGGER.warning("%s: dropped %d facts with no usable year", path, dropped)
+    return rows
+
+
+def _reference_build_dataset(named_splits, origin):
+    if not named_splits.get("train"):
+        raise DataError(f"{origin}: training split is empty")
+    entity_ids, relation_ids = {}, {}
+    for split in SPLIT_NAMES:
+        for s_name, p_name, o_name, _year in named_splits.get(split, []):
+            for name in (s_name, o_name):
+                if name not in entity_ids:
+                    entity_ids[name] = len(entity_ids)
+            if p_name not in relation_ids:
+                relation_ids[p_name] = len(relation_ids)
+    train_years = sorted({year for _s, _p, _o, year in named_splits["train"]})
+    vocab = Vocabulary(entity_names=list(entity_ids), relation_names=list(relation_ids), time_buckets=train_years)
+    arrays = {}
+    for split in SPLIT_NAMES:
+        seen, quads, duplicates = set(), [], 0
+        for s_name, p_name, o_name, year in named_splits.get(split, []):
+            quad = (entity_ids[s_name], relation_ids[p_name], entity_ids[o_name], vocab.bucket_for_year(year))
+            if quad in seen:
+                duplicates += 1
+                continue
+            seen.add(quad)
+            quads.append(quad)
+        if duplicates:
+            GRAPH_LOGGER.warning("%s: dropped %d duplicate quadruples from %s split", origin, duplicates, split)
+        arrays[split] = np.asarray(quads, dtype=np.int64).reshape(-1, 4)
+    return Dataset(vocab=vocab, train=arrays["train"], valid=arrays["valid"], test=arrays["test"])
+
+
+def _reference_load(root, schema):
+    named = {split: _reference_read_split_file(root / f"{split}.txt", schema) for split in SPLIT_NAMES}
+    return _reference_build_dataset(named, origin=str(root))
+
+
+def _write_splits(root, train, valid="", test=""):
+    """Write the three split files byte for byte (no newline translation)."""
+    root.mkdir(parents=True, exist_ok=True)
+    for name, text in zip(SPLIT_NAMES, (train, valid, test)):
+        (root / f"{name}.txt").write_bytes(text.encode("utf-8"))
+    return root
+
+
+def _warnings(caplog, load):
+    """(result or DataError message, warning messages) of one load."""
+    caplog.clear()
+    try:
+        result = load()
+    except DataError as exc:
+        result = f"DataError: {exc}"
+    return result, [r.getMessage() for r in caplog.records if r.levelno >= logging.WARNING]
+
+
+def _random_facts(rng, n, n_e, n_r, n_b):
+    return np.stack([rng.integers(0, bound, n) for bound in (n_e, n_r, n_e, n_b)], axis=1)
+
+
+def _python_set_index(facts):
+    """The Python-set reference of KnownFacts: {(s, p, o, t)} plus both completion maps."""
+    every = {tuple(int(v) for v in fact) for fact in facts}
+    objects, subjects = {}, {}
+    for s, p, o, t in every:
+        objects.setdefault((s, p, t), set()).add(o)
+        subjects.setdefault((p, o, t), set()).add(s)
+    return every, objects, subjects
 
 
 class TestTimeParsing:
@@ -162,6 +269,193 @@ class TestLoading:
         save_dataset(mini_dataset, tmp_path / "copy")
         back = load_quadruples(tmp_path / "copy")
         assert back.digest() == mini_dataset.digest()
+
+
+# Each case is (train, valid, test) file text; valid and test reuse names so ids cross splits.
+LOADING_CASES = {
+    "crlf": ("A\tr\tB\t1984\r\nB\tr\tC\t1985-##-##\t1986\r\nC\tq\tA\t1990\r\n", "B\tq\tD\t1987\r\n", ""),
+    "whitespace_lines": (
+        "\n  \nA\tr\tB\t1984\n\t\n\x0b\x0c\n\u2028\nB\tr\tC\t1985\n   \n",
+        "\n\nC\tr\tA\t1985\n",
+        " \n",
+    ),
+    "separator_like_characters_in_names": (
+        "A\x1cx\tr\x0bs\tB\u2028y\t1984\nB\u2028y\tr\x0bs\tA\x1cx\t1986\n",
+        "",
+        "",
+    ),
+    "no_final_newline": ("A\tr\tB\t1984\nB\tr\tC\t1988", "C\tr\tD\t2001", "D\tr\tA\t1900"),
+    "duplicate_rows": (
+        "A\tr\tB\t1984\nA\tr\tB\t1984-05-05\nB\tr\tC\t1990\nA\tr\tB\t1984\nA\tr\tB\t1985\n",
+        "A\tr\tB\t1986\nA\tr\tB\t1987\nA\tr\tB\t1984\n",
+        "C\tr\tB\t2000\nC\tr\tB\t2010\n",
+    ),
+    "dropped_years": (
+        "A\tr\tB\t####\nA\tr\tC\t####-##-##\t19##\nC\tr\tD\t1984\nD\tq\tE\t####\t1990-##-##\n",
+        "E\tq\tF\t####\n",
+        "F\tq\tA\t2001\t####\n",
+    ),
+    "end_column_token_first": (
+        "A\tr\tB\t1984\nB\tr\tC\t1985\tlater\nC\tr\tD\tsoon\n",
+        "",
+        "",
+    ),
+    "bad_begin_and_end_on_one_line": ("A\tr\tB\t1984\nB\tr\tC\tsoon\tnever\n", "", ""),
+    "short_line_before_bad_token": ("A\tr\tB\t1984\nA\tr\nC\tr\tD\tsoon\n", "", ""),
+    "bad_token_before_short_line": ("A\tr\tB\tsoon\nA\tr\n", "", ""),
+    "only_unusable_years": ("A\tr\tB\t####\n", "", ""),
+}
+
+
+class TestColumnWiseLoading:
+    """load_quadruples against the line-by-line reference: same dataset, same warnings, same errors."""
+
+    @pytest.mark.parametrize("time_field", ["begin", "end"])
+    def test_mini_fixture(self, time_field, caplog):
+        caplog.set_level(logging.WARNING, logger="tkgd")
+        schema = LoadSchema(time_field=time_field)
+        got, got_warnings = _warnings(caplog, lambda: load_quadruples(FIXTURES / "mini", schema))
+        want, want_warnings = _warnings(caplog, lambda: _reference_load(FIXTURES / "mini", schema))
+        self._assert_same(got, want)
+        assert got_warnings == want_warnings
+        assert len(got_warnings) == 2  # one year-less fact, one duplicate
+
+    @pytest.mark.parametrize("time_field", ["begin", "end"])
+    @pytest.mark.parametrize("case", sorted(LOADING_CASES))
+    def test_matches_line_by_line_reference(self, case, time_field, tmp_path, caplog):
+        caplog.set_level(logging.WARNING, logger="tkgd")
+        root = _write_splits(tmp_path / case, *LOADING_CASES[case])
+        schema = LoadSchema(time_field=time_field)
+        got, got_warnings = _warnings(caplog, lambda: load_quadruples(root, schema))
+        want, want_warnings = _warnings(caplog, lambda: _reference_load(root, schema))
+        self._assert_same(got, want)
+        assert got_warnings == want_warnings
+
+    def test_cases_reach_every_outcome(self, tmp_path):
+        def outcome(case):
+            try:
+                load_quadruples(_write_splits(tmp_path / case, *LOADING_CASES[case]))
+            except DataError as exc:
+                return str(exc)
+            return "loaded"
+
+        assert "later" in outcome("end_column_token_first")
+        assert "soon" in outcome("bad_begin_and_end_on_one_line")
+        assert "line 2" in outcome("short_line_before_bad_token")
+        assert "soon" in outcome("bad_token_before_short_line")
+        assert "training split is empty" in outcome("only_unusable_years")
+        assert outcome("separator_like_characters_in_names") == "loaded"
+        ds = load_quadruples(tmp_path / "separator_like_characters_in_names")
+        assert ds.vocab.entity_names == ["A\x1cx", "B\u2028y"] and ds.vocab.relation_names == ["r\x0bs"]
+
+    @staticmethod
+    def _assert_same(got, want):
+        if isinstance(want, str):
+            assert got == want
+            return
+        assert got.vocab.entity_names == want.vocab.entity_names
+        assert got.vocab.relation_names == want.vocab.relation_names
+        assert got.vocab.time_buckets == want.vocab.time_buckets
+        assert all(type(year) is int for year in got.vocab.time_buckets)
+        for split in SPLIT_NAMES:
+            assert got.split(split).dtype == np.int64
+            np.testing.assert_array_equal(got.split(split), want.split(split))
+        assert got.digest() == want.digest()
+
+
+class TestBucketsForYears:
+    @pytest.mark.parametrize("buckets", [[-50, -10, 1900, 1910, 1984], [1900], [-7, 3]])
+    def test_matches_bucket_for_year(self, buckets):
+        v = Vocabulary(["a"], ["r"], buckets)
+        exact = list(buckets)
+        below_above = [min(buckets) - 1, min(buckets) - 1000, max(buckets) + 1, max(buckets) + 10**6]
+        equidistant = [(a + b) // 2 for a, b in zip(buckets, buckets[1:]) if (a + b) % 2 == 0]
+        between = [a + 1 for a in buckets] + [b - 1 for b in buckets]
+        years = exact + below_above + equidistant + between + [-1, 0, -999_999]
+        got = v.buckets_for_years(np.array(years))
+        assert got.dtype == np.int64
+        assert got.tolist() == [v.bucket_for_year(y) for y in years]
+
+    def test_equidistant_goes_to_earlier_bucket(self):
+        v = Vocabulary(["a"], ["r"], [-50, -10, 1900, 1910])
+        assert v.buckets_for_years([-30, 1905, 945]).tolist() == [0, 2, 1]
+
+    def test_empty_input(self):
+        v = Vocabulary(["a"], ["r"], [1900, 1910])
+        assert v.buckets_for_years(np.array([], dtype=np.int64)).shape == (0,)
+
+
+class TestKnownFactsIndex:
+    """KnownFacts against a Python-set index on random facts, ids outside the indexed range included."""
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_matches_python_sets(self, seed):
+        rng = np.random.default_rng(seed)
+        n_e, n_r, n_b = 7, 3, 4
+        facts = _random_facts(rng, 120, n_e, n_r, n_b)
+        known = KnownFacts(facts)
+        every, objects, subjects = _python_set_index(facts)
+        assert len(known) == len(every)
+        ids = range(-2, max(n_e, n_r, n_b) + 2)
+        for s in ids:
+            for p in range(-1, n_r + 2):
+                for t in range(-1, n_b + 2):
+                    assert known.objects_for(s, p, t) == objects.get((s, p, t), set())
+                    assert known.subjects_for(p, s, t) == subjects.get((p, s, t), set())
+                    for o in (-1, 0, 3, n_e - 1, n_e):
+                        assert ((s, p, o, t) in known) == ((s, p, o, t) in every)
+
+    @pytest.mark.parametrize("slot", ["subject", "object"])
+    def test_keep_mask_matches_python_sets(self, slot):
+        rng = np.random.default_rng(11)
+        n_e, n_r, n_b = 6, 2, 3
+        facts = _random_facts(rng, 40, n_e, n_r, n_b)
+        known = KnownFacts(facts)
+        _every, objects, subjects = _python_set_index(facts)
+        width = n_e + 2  # candidates beyond the indexed entities, as truths too
+        queries = np.concatenate(
+            [
+                facts[:15],
+                np.stack([rng.integers(-1, width, 60), rng.integers(-1, n_r + 2, 60),
+                          rng.integers(-1, width, 60), rng.integers(-1, n_b + 2, 60)], axis=1),
+            ]
+        )
+        truth_col = 0 if slot == "subject" else 2
+        queries[:, truth_col] = np.abs(queries[:, truth_col])  # a truth is always a candidate
+        queries[:5, truth_col] = width - 1  # known queries whose truth lies past the indexed entities
+        want = np.ones((len(queries), width), dtype=bool)
+        for i, (s, p, o, t) in enumerate(queries.tolist()):
+            taken = objects.get((s, p, t), set()) if slot == "object" else subjects.get((p, o, t), set())
+            want[i, sorted(taken)] = False
+            want[i, queries[i, truth_col]] = True
+        np.testing.assert_array_equal(known.keep_mask(queries, slot, width), want)
+        assert not want.all()  # some known completions were masked
+
+    def test_empty_index(self):
+        known = KnownFacts(np.empty((0, 4), dtype=np.int64))
+        assert len(known) == 0
+        assert (0, 0, 0, 0) not in known
+        assert known.objects_for(0, 0, 0) == set() and known.subjects_for(0, 0, 0) == set()
+        mask = known.keep_mask(np.array([[0, 0, 1, 0], [2, 0, 0, 0]]), "object", 3)
+        assert mask.all()
+
+    def test_dataset_with_empty_split(self):
+        ds = generate_synthetic(9, 2, 2, 40, 0.8, seed=2)  # two buckets leave valid empty
+        assert len(ds.valid) == 0
+        every, objects, _subjects = _python_set_index(np.concatenate([ds.train, ds.valid, ds.test]))
+        assert len(ds.known) == len(every)
+        for s, p, o, t in every:
+            assert (s, p, o, t) in ds.known
+            assert ds.known.objects_for(s, p, t) == objects[(s, p, t)]
+
+    def test_negative_ids_rejected(self):
+        with pytest.raises(DataError):
+            KnownFacts([(0, 0, -1, 0)])
+
+    def test_key_overflow_rejected(self):
+        big = 2**21  # E^2 * R * B = 2^42 * 2^21 * 2 overflows int64
+        with pytest.raises(DataError, match="int64"):
+            KnownFacts([(big - 1, big - 1, big - 1, 1)])
 
 
 class TestDataset:

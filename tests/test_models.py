@@ -217,6 +217,40 @@ class TestEncodePairs:
             supervised_gradients(params, vocab, quads[:1], quads[1:][None])
 
 
+class TestIdRangeCheck:
+    """Every entity, relation and bucket id is checked on both backbones, in all three entry points."""
+
+    # (column, out-of-range id, kind) for a vocabulary of 4 entities, 3 relations and 4 buckets
+    CASES = [(0, -1, "entity"), (0, 4, "entity"), (2, -1, "entity"), (2, 4, "entity"),
+             (1, -1, "relation"), (1, 3, "relation"), (3, -2, "bucket"), (3, 4, "bucket")]
+
+    @pytest.mark.parametrize("backbone", ["ttranse", "tadistmult"])
+    @pytest.mark.parametrize("col,bad,kind", CASES)
+    def test_out_of_range_id_raises_value_error(self, backbone, col, bad, kind):
+        vocab = _vocab(4, 3, [1900, 1910, 1920, 1930])
+        params = init_params(backbone, 4, 4, 3, 4, seed=0, dtype=np.float64)
+        quads = np.array([[0, 1, 2, 1], [1, 2, 3, 0]])
+        quads[1, col] = bad
+        message = f"{kind} id {bad} outside"
+        with pytest.raises(ValueError, match=message):
+            batch_candidate_scores(params, vocab, quads, "object")
+        with pytest.raises(ValueError, match=message):
+            batch_candidate_backprop(params, vocab, quads, "subject", np.zeros((2, 4)), GradAccum(params))
+        with pytest.raises(ValueError, match=message):
+            supervised_gradients(params, vocab, quads[:1], quads[1:][None])
+        with pytest.raises(ValueError, match=message):
+            supervised_gradients(params, vocab, quads[1:], quads[:1][None])
+
+    @pytest.mark.parametrize("backbone", ["ttranse", "tadistmult"])
+    def test_ids_at_the_bounds_pass(self, backbone):
+        vocab = _vocab(4, 3, [1900, 1910, 1920, 1930])
+        params = init_params(backbone, 4, 4, 3, 4, seed=0, dtype=np.float64)
+        quads = np.array([[0, 0, 3, 0], [3, 2, 0, 3]])
+        assert np.isfinite(batch_candidate_scores(params, vocab, quads, "object")).all()
+        loss, _ = supervised_gradients(params, vocab, quads[:1], quads[1:][None])
+        assert np.isfinite(loss)
+
+
 class TestLstm:
     def test_all_zero_weights_give_zero_state(self):
         params = _zeroed_lstm(init_params("tadistmult", 4, 3, 2, 2, seed=0, dtype=np.float64))
