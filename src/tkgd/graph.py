@@ -10,12 +10,20 @@ lookup per column and years to buckets through one searchsorted.  Facts are
 also addressed by integer keys over (E, R, B), the entity, relation and bucket
 counts: duplicate rows are found by key, and KnownFacts, the filtered-ranking
 index, is two sorted key arrays, so every key must fit in int64.
+
+save_dataset also writes a binary copy of what parsing its text gives back
+(names, bucket years, the three id arrays) together with the SHA-256 of the
+split files' bytes.  load_quadruples reads that copy instead of parsing when
+the digest still matches the files on disk and the schema reads the columns
+save_dataset writes; in every other case, and whenever the copy is missing,
+stale or unreadable, it parses the text.  Loading never writes.
 """
 from __future__ import annotations
 
 import hashlib
 import json
 import logging
+import os
 import re
 from dataclasses import dataclass, field
 from itertools import chain, compress
@@ -28,6 +36,15 @@ import numpy as np
 logger = logging.getLogger(__name__)
 
 SPLIT_NAMES = ("train", "valid", "test")
+
+# The binary copy save_dataset writes next to the split files.  Layout: 4-byte
+# magic, 4-byte little-endian header length, UTF-8 JSON header, the train,
+# valid and test id arrays as little-endian int64 rows, then a 32-byte SHA-256
+# of header plus payload.
+COPY_NAME = "dataset.bin"
+_COPY_MAGIC = b"TKDS"
+_COPY_VERSION = 1
+_DIGEST_BYTES = 32
 
 __all__ = [
     "DataError",
@@ -434,15 +451,29 @@ def _build_dataset(
     rule: SyntheticRule | None = None,
     origin: str = "dataset",
 ) -> Dataset:
-    """Assign ids and assemble a Dataset from the three splits' name columns.
+    """Assemble a Dataset from the three splits' name columns, ids as _assign_ids gives them.
+
+    Duplicate quadruples dropped from a split are reported with a warning.
+    """
+    vocab, arrays, dropped = _assign_ids(columns, origin)
+    for split in SPLIT_NAMES:
+        if dropped[split]:
+            logger.warning("%s: dropped %d duplicate quadruples from %s split", origin, dropped[split], split)
+    return Dataset(vocab=vocab, train=arrays["train"], valid=arrays["valid"], test=arrays["test"], rule=rule)
+
+
+def _assign_ids(
+    columns: dict[str, _SplitColumns], origin: str
+) -> tuple[Vocabulary, dict[str, np.ndarray], dict[str, int]]:
+    """The vocabulary, the (n, 4) id arrays and the duplicate rows dropped per split.
 
     Entity and relation ids follow first appearance scanning train, valid,
     test in that order, subject before object within a row.  Time buckets
     come from training years only; later splits clamp through
     Vocabulary.buckets_for_years.  Duplicate quadruples within a split are
-    dropped with a warning, keeping first occurrences in order; they are
-    found by the integer key ((s * R + p) * E + o) * B + t, and a vocabulary
-    whose keys would overflow int64 raises DataError.
+    dropped, keeping first occurrences in order; they are found by the
+    integer key ((s * R + p) * E + o) * B + t, and a vocabulary whose keys
+    would overflow int64 raises DataError.
     """
     splits = [columns[name] for name in SPLIT_NAMES]
     if len(splits[0].years) == 0:
@@ -459,6 +490,7 @@ def _build_dataset(
     entity_id, relation_id = vocab._entity_ids.__getitem__, vocab._relation_ids.__getitem__
 
     arrays: dict[str, np.ndarray] = {}
+    dropped: dict[str, int] = {}
     for split, c in zip(SPLIT_NAMES, splits):
         n = len(c.years)
         quads = np.empty((n, 4), dtype=np.int64)
@@ -468,38 +500,45 @@ def _build_dataset(
         quads[:, 3] = vocab.buckets_for_years(c.years)
         s, p, o, t = quads.T
         _, first = np.unique(((s * n_r + p) * n_e + o) * n_b + t, return_index=True)
-        if len(first) < n:
-            logger.warning("%s: dropped %d duplicate quadruples from %s split", origin, n - len(first), split)
-            quads = quads[np.sort(first)]
-        arrays[split] = quads
-
-    return Dataset(vocab=vocab, train=arrays["train"], valid=arrays["valid"], test=arrays["test"], rule=rule)
+        dropped[split] = n - len(first)
+        arrays[split] = quads[np.sort(first)] if dropped[split] else quads
+    return vocab, arrays, dropped
 
 
 def load_quadruples(path: str | Path, schema: LoadSchema | None = None) -> Dataset:
     """Load a dataset directory holding train.txt, valid.txt and test.txt.
 
-    A rule.json sidecar, if present, restores the planted pattern of a
-    synthetic dataset so rule-aware components keep working after a
-    round trip through files.
+    A directory written by save_dataset also holds the binary copy
+    (COPY_NAME); when the schema reads the columns save_dataset writes and the
+    copy's digest matches the split files on disk, the dataset comes from the
+    copy, exactly as parsing would give it, and the text is only hashed.
+    Otherwise the files are parsed.  A rule.json sidecar, if present, restores
+    the planted pattern of a synthetic dataset so rule-aware components keep
+    working after a round trip through files.
     """
     schema = schema or LoadSchema()
     root = Path(path)
     if not root.is_dir():
         raise DataError(f"dataset directory not found: {root}")
+    cached = _read_copy(root) if _reads_written_columns(schema) else None
     columns: dict[str, _SplitColumns] = {}
-    for split in SPLIT_NAMES:
-        fpath = root / f"{split}.txt"
-        if not fpath.is_file():
-            raise DataError(f"missing split file: {fpath}")
-        columns[split] = _read_split_file(fpath, schema)
+    if cached is None:
+        for split in SPLIT_NAMES:
+            fpath = root / f"{split}.txt"
+            if not fpath.is_file():
+                raise DataError(f"missing split file: {fpath}")
+            columns[split] = _read_split_file(fpath, schema)
 
     rule = None
     rule_path = root / "rule.json"
     if rule_path.is_file():
         rule = SyntheticRule.from_json(rule_path.read_text(encoding="utf-8"))
 
-    ds = _build_dataset(columns, rule=rule, origin=str(root))
+    if cached is None:
+        ds = _build_dataset(columns, rule=rule, origin=str(root))
+    else:
+        ds = cached
+        ds.rule = rule
     logger.info(
         "loaded %s: %d entities, %d relations, %d buckets, %d/%d/%d facts",
         root,
@@ -514,23 +553,136 @@ def load_quadruples(path: str | Path, schema: LoadSchema | None = None) -> Datas
 
 
 def save_dataset(dataset: Dataset, path: str | Path) -> None:
-    """Write splits back to tab-separated files (names and years, begin only).
+    """Write splits as tab-separated files (names and years, begin only), plus the binary copy.
 
     Reloading the written directory reproduces identical ids and counts,
-    because first-appearance order is preserved fact for fact.
+    because first-appearance order is preserved fact for fact.  The copy holds
+    exactly what parsing the written text gives: the written columns go
+    through _assign_ids, as parsed columns do in _build_dataset.  When the
+    reload would drop rows (a split repeating a row, or rows that meet in one
+    training bucket), no copy is written and an older one is removed.  A name
+    containing a tab or a line break, or a bucket year that does not read back
+    as a year, cannot be written faithfully and raises DataError before
+    anything is written.
     """
     root = Path(path)
-    root.mkdir(parents=True, exist_ok=True)
     vocab = dataset.vocab
+    _check_writable(vocab)
+    entities, relations = vocab.entity_names, vocab.relation_names
+    years = np.asarray(vocab.time_buckets, dtype=np.int64)
+    columns: dict[str, _SplitColumns] = {}
+    texts: list[bytes] = []
     for split in SPLIT_NAMES:
-        with (root / f"{split}.txt").open("w", encoding="utf-8") as fh:
-            for s, p, o, t in dataset.split(split).tolist():
-                fh.write(
-                    f"{vocab.entity_names[s]}\t{vocab.relation_names[p]}\t"
-                    f"{vocab.entity_names[o]}\t{vocab.time_buckets[t]}\n"
-                )
+        quads = dataset.split(split)
+        s, p, o = quads[:, :3].T.tolist()
+        c = columns[split] = _SplitColumns(
+            [entities[i] for i in s], [relations[i] for i in p], [entities[i] for i in o], years[quads[:, 3]]
+        )
+        lines = map("{}\t{}\t{}\t{}\n".format, c.subjects, c.relations, c.objects, c.years.tolist())
+        texts.append("".join(lines).encode("utf-8"))
+
+    root.mkdir(parents=True, exist_ok=True)
+    for split, text in zip(SPLIT_NAMES, texts):
+        (root / f"{split}.txt").write_bytes(text)
     if dataset.rule is not None:
         (root / "rule.json").write_text(dataset.rule.to_json(), encoding="utf-8")
+    copy_path = root / COPY_NAME
+    reloaded, arrays, dropped = _assign_ids(columns, str(root))
+    if any(dropped.values()):
+        copy_path.unlink(missing_ok=True)
+    else:
+        _write_copy(reloaded, arrays, _text_digest(texts), copy_path)
+
+
+_UNWRITABLE_NAME = re.compile(r"[\t\r\n]")
+
+
+def _check_writable(vocab: Vocabulary) -> None:
+    """Raise DataError for a name or a bucket year that written text would not read back as itself."""
+    for kind, names in (("entity", vocab.entity_names), ("relation", vocab.relation_names)):
+        bad = next((name for name in names if _UNWRITABLE_NAME.search(name)), None)
+        if bad is not None:
+            raise DataError(f"cannot save {kind} name {bad!r}: names must not contain tabs or line breaks")
+    for year in vocab.time_buckets:
+        try:
+            ok = parse_time_token(str(year)) == year
+        except DataError:
+            ok = False
+        if not ok:
+            raise DataError(f"cannot save time bucket year {year}: it does not read back as a year")
+
+
+def _reads_written_columns(schema: LoadSchema) -> bool:
+    """Whether schema reads save_dataset's four columns as they were written (time_field aside)."""
+    cols = (schema.subject_col, schema.relation_col, schema.object_col, schema.begin_col)
+    return cols == (0, 1, 2, 3) and schema.end_col > 3
+
+
+def _text_digest(texts: list[bytes]) -> str:
+    """SHA-256 over the train, valid and test files' bytes, each prefixed by its length."""
+    h = hashlib.sha256()
+    for text in texts:
+        h.update(len(text).to_bytes(8, "little"))
+        h.update(text)
+    return h.hexdigest()
+
+
+def _write_copy(vocab: Vocabulary, arrays: dict[str, np.ndarray], text_digest: str, path: Path) -> None:
+    """Write the binary copy (layout at COPY_NAME) through a temporary file; equal input gives equal bytes."""
+    header = {
+        "format_version": _COPY_VERSION,
+        "text_digest": text_digest,
+        "entity_names": vocab.entity_names,
+        "relation_names": vocab.relation_names,
+        "time_buckets": vocab.time_buckets,
+        "rows": [len(arrays[split]) for split in SPLIT_NAMES],
+    }
+    header_bytes = json.dumps(header, sort_keys=True).encode("utf-8")
+    payload = b"".join(np.ascontiguousarray(arrays[split], dtype="<i8").tobytes() for split in SPLIT_NAMES)
+    digest = hashlib.sha256(header_bytes + payload).digest()
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        tmp.write_bytes(_COPY_MAGIC + len(header_bytes).to_bytes(4, "little") + header_bytes + payload + digest)
+        os.replace(tmp, path)
+    finally:
+        tmp.unlink(missing_ok=True)
+
+
+def _read_copy(root: Path) -> Dataset | None:
+    """The dataset in root's binary copy, or None when the copy is missing, stale or unreadable."""
+    path = root / COPY_NAME
+    if not path.is_file():
+        return None
+    try:
+        return _decode_copy(path.read_bytes(), root)
+    except (OSError, ValueError, KeyError, TypeError, DataError) as exc:
+        logger.debug("%s: parsing the text instead of the binary copy: %s", path, exc)
+        return None
+
+
+def _decode_copy(blob: bytes, root: Path) -> Dataset:
+    """Check a binary copy against itself and against root's split files; raises ValueError when either fails."""
+    if blob[:4] != _COPY_MAGIC:
+        raise ValueError("bad magic")
+    header_len = int.from_bytes(blob[4:8], "little")
+    header_bytes = blob[8 : 8 + header_len]
+    header = json.loads(header_bytes.decode("utf-8"))
+    if header["format_version"] != _COPY_VERSION:
+        raise ValueError(f"format version {header['format_version']!r}, this build reads {_COPY_VERSION}")
+    rows = [int(n) for n in header["rows"]]
+    payload_len = 32 * sum(rows)
+    if len(rows) != 3 or min(rows) < 0 or len(blob) != 8 + header_len + payload_len + _DIGEST_BYTES:
+        raise ValueError("size does not match the header")
+    payload = blob[8 + header_len : 8 + header_len + payload_len]
+    if hashlib.sha256(header_bytes + payload).digest() != blob[8 + header_len + payload_len :]:
+        raise ValueError("content digest mismatch")
+    texts = [(root / f"{split}.txt").read_bytes() for split in SPLIT_NAMES]
+    if header["text_digest"] != _text_digest(texts):
+        raise ValueError("the split files changed after the copy was written")
+    flat = np.frombuffer(payload, dtype="<i8").astype(np.int64).reshape(-1, 4)
+    train, valid, test = np.split(flat, np.cumsum(rows[:2]))
+    vocab = Vocabulary(header["entity_names"], header["relation_names"], header["time_buckets"])
+    return Dataset(vocab=vocab, train=train, valid=valid, test=test)
 
 
 @dataclass

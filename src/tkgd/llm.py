@@ -19,7 +19,6 @@ from datetime import datetime, timezone
 from pathlib import Path
 
 import numpy as np
-import requests
 
 from .graph import SyntheticRule, Vocabulary
 from .models import Params, batch_candidate_scores, score_quadruple
@@ -286,6 +285,10 @@ class RemoteTeacher(TeacherHandle):
         self._last_request = 0.0
 
     def complete(self, query: LlmQuery) -> str:
+        # requests is the slowest import in the package and only this client needs
+        # it, so commands that never call a remote endpoint never load it
+        import requests
+
         self.calls += 1
         headers = {"Content-Type": "application/json"}
         api_key = os.environ.get(API_KEY_ENV)

@@ -1,6 +1,10 @@
 """End-to-end pipeline tests driven through the command-line entry point."""
 import json
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -65,9 +69,44 @@ def _with(text, **overrides):
     return "\n".join(lines) + "\n"
 
 
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+
+def _fresh_python(code: str) -> str:
+    """stdout of code run by a new interpreter that imports tkgd from this checkout."""
+    path = os.pathsep.join(filter(None, (str(SRC), os.environ.get("PYTHONPATH"))))
+    proc = subprocess.run(
+        [sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": path}, capture_output=True, text=True
+    )
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout.strip()
+
+
 def _loaded_tables(path):
     params, _ = load_checkpoint(path)
     return {name: t.values for name, t in params.tables().items()}
+
+
+class TestLazyPackage:
+    """The package re-exports load on first use, so the command line caps threads before numpy loads."""
+
+    def test_importing_the_cli_loads_no_numpy(self):
+        assert _fresh_python("import sys, tkgd.cli; print('numpy' in sys.modules)") == "False"
+
+    def test_only_the_remote_teacher_loads_requests(self):
+        assert _fresh_python("import sys, tkgd.llm; print('requests' in sys.modules)") == "False"
+
+    def test_reexports_resolve_after_their_submodules(self):
+        code = """
+import sys, types
+import tkgd.evaluate, tkgd.graph
+import tkgd
+from tkgd import *
+from tkgd import evaluate
+wrong = [n for n in tkgd.__all__ if getattr(tkgd, n) is not getattr(sys.modules[getattr(tkgd, n).__module__], n)]
+print(wrong, isinstance(evaluate, types.FunctionType), tkgd.graph.__name__, 'numpy' in sys.modules)
+"""
+        assert _fresh_python(code) == "[] True tkgd.graph True"
 
 
 class TestPipeline:

@@ -1,10 +1,15 @@
+import hashlib
+import json
 import logging
+import re
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+from tkgd import graph
 from tkgd.graph import (
+    COPY_NAME,
     SPLIT_NAMES,
     DataError,
     Dataset,
@@ -361,6 +366,231 @@ class TestColumnWiseLoading:
             assert got.split(split).dtype == np.int64
             np.testing.assert_array_equal(got.split(split), want.split(split))
         assert got.digest() == want.digest()
+
+
+def _load_logged(caplog, root, schema=None):
+    """(dataset, INFO and higher messages) of one load_quadruples call."""
+    caplog.clear()
+    ds = load_quadruples(root, schema)
+    return ds, [r.getMessage() for r in caplog.records if r.levelno >= logging.INFO]
+
+
+def _no_parse(path, schema):
+    raise AssertionError(f"{path} was parsed although the binary copy is valid")
+
+
+def _tiny_vocab_dataset(train, valid=()):
+    v = Vocabulary(["A", "B", "C"], ["r", "q"], [1900, 1901, 1902])
+    return Dataset(vocab=v, train=train, valid=list(valid), test=[])
+
+
+class TestBinaryCopy:
+    """save_dataset's binary copy gives exactly what parsing the written text gives, or is not used."""
+
+    @pytest.fixture(autouse=True)
+    def _info_logs(self, caplog):
+        caplog.set_level(logging.INFO, logger="tkgd")
+
+    @pytest.fixture
+    def parses(self, monkeypatch):
+        """Paths _read_split_file is called on, while it still parses."""
+        seen, real = [], graph._read_split_file
+        monkeypatch.setattr(graph, "_read_split_file", lambda path, schema: seen.append(path) or real(path, schema))
+        return seen
+
+    @staticmethod
+    def _copy_and_text(root, caplog, monkeypatch, schema=None):
+        """root loaded through its copy (parsing forbidden), then by parsing with the copy set aside."""
+        with monkeypatch.context() as m:
+            m.setattr(graph, "_read_split_file", _no_parse)
+            got = _load_logged(caplog, root, schema)
+        aside = root.with_name(root.name + "-copy.bin")
+        (root / COPY_NAME).rename(aside)
+        try:
+            want = _load_logged(caplog, root, schema)
+        finally:
+            aside.rename(root / COPY_NAME)
+        return got, want
+
+    @staticmethod
+    def _assert_same(got, want):
+        (got_ds, got_log), (want_ds, want_log) = got, want
+        TestColumnWiseLoading._assert_same(got_ds, want_ds)
+        assert got_ds.rule == want_ds.rule
+        assert got_log == want_log
+        assert len(got_log) == 1 and got_log[0].startswith("loaded ")
+
+    def test_small_synth(self, small_synth, tmp_path, caplog, monkeypatch):
+        save_dataset(small_synth, tmp_path / "d")
+        got, want = self._copy_and_text(tmp_path / "d", caplog, monkeypatch)
+        self._assert_same(got, want)
+        assert got[0].digest() == small_synth.digest() and got[0].rule == small_synth.rule
+
+    def test_mini_fixture_saved_and_reloaded(self, mini_dataset, tmp_path, caplog, monkeypatch):
+        save_dataset(mini_dataset, tmp_path / "d")
+        got, want = self._copy_and_text(tmp_path / "d", caplog, monkeypatch)
+        self._assert_same(got, want)
+        assert got[0].digest() == mini_dataset.digest()
+
+    def test_truncated_splits_lose_entities_and_buckets(self, small_synth, tmp_path, caplog, monkeypatch):
+        ds = small_synth
+        train = ds.train[ds.train[:, 3] != ds.vocab.n_buckets - 1][:6]
+        save_dataset(Dataset(vocab=ds.vocab, train=train, valid=ds.valid[:3], test=ds.test[:3], rule=ds.rule),
+                     tmp_path / "d")
+        got, want = self._copy_and_text(tmp_path / "d", caplog, monkeypatch)
+        self._assert_same(got, want)
+        assert got[0].vocab.n_entities < ds.vocab.n_entities
+        assert got[0].vocab.n_buckets < ds.vocab.n_buckets
+
+    def test_time_field_end(self, small_synth, tmp_path, caplog, monkeypatch):
+        save_dataset(small_synth, tmp_path / "d")
+        schema = LoadSchema(time_field="end")
+        got, want = self._copy_and_text(tmp_path / "d", caplog, monkeypatch, schema)
+        self._assert_same(got, want)
+
+    def test_edited_split_is_parsed(self, small_synth, tmp_path, caplog, parses):
+        root = tmp_path / "d"
+        save_dataset(small_synth, root)
+        with (root / "valid.txt").open("a", encoding="utf-8") as fh:
+            fh.write("newcomer\tr0\te1\t1950\n")
+        got = _load_logged(caplog, root)
+        assert parses
+        TestColumnWiseLoading._assert_same(got[0], _reference_load(root, LoadSchema()))
+        assert len(got[0].valid) == len(small_synth.valid) + 1 and "newcomer" in got[0].vocab.entity_names
+
+    def test_line_moved_between_splits_is_parsed(self, small_synth, tmp_path, caplog, parses):
+        # the bytes of all three files together are unchanged; only their split differs
+        root = tmp_path / "d"
+        save_dataset(small_synth, root)
+        train = (root / "train.txt").read_text(encoding="utf-8").splitlines(keepends=True)
+        (root / "train.txt").write_text("".join(train[:-1]), encoding="utf-8")
+        (root / "valid.txt").write_text(train[-1] + (root / "valid.txt").read_text(encoding="utf-8"), encoding="utf-8")
+        got = _load_logged(caplog, root)
+        assert parses
+        TestColumnWiseLoading._assert_same(got[0], _reference_load(root, LoadSchema()))
+        assert len(got[0].train) == len(small_synth.train) - 1
+
+    @staticmethod
+    def _rewrite_version(blob, version):
+        header_len = int.from_bytes(blob[4:8], "little")
+        header = json.loads(blob[8 : 8 + header_len])
+        header["format_version"] = version
+        header_bytes = json.dumps(header, sort_keys=True).encode("utf-8")
+        payload = blob[8 + header_len : -32]
+        digest = hashlib.sha256(header_bytes + payload).digest()
+        return blob[:4] + len(header_bytes).to_bytes(4, "little") + header_bytes + payload + digest
+
+    @pytest.mark.parametrize("damage", ["truncated", "flipped_payload_byte", "wrong_version", "empty", "bad_magic"])
+    def test_damaged_copy_is_parsed(self, damage, small_synth, tmp_path, caplog, parses):
+        root = tmp_path / "d"
+        save_dataset(small_synth, root)
+        blob = (root / COPY_NAME).read_bytes()
+        at = 8 + int.from_bytes(blob[4:8], "little")
+        damaged = {
+            "truncated": lambda: blob[: len(blob) // 2],
+            # the lowest bit of the first subject id: the flipped copy is still a valid dataset
+            "flipped_payload_byte": lambda: blob[:at] + bytes([blob[at] ^ 1]) + blob[at + 1 :],
+            "wrong_version": lambda: self._rewrite_version(blob, 2),
+            "empty": lambda: b"",
+            "bad_magic": lambda: b"XXXX" + blob[4:],
+        }[damage]()
+        (root / COPY_NAME).write_bytes(damaged)
+        got = _load_logged(caplog, root)
+        assert len(parses) == 3
+        self._assert_same(got, (small_synth, [f"loaded {root}: 12 entities, 3 relations, 3 buckets, 50/14/16 facts"]))
+        assert got[0].digest() == small_synth.digest()
+
+    def test_version_rewrite_keeps_the_layout(self, small_synth, tmp_path):
+        # the wrong_version case above is refused for its version, not for its layout
+        root = tmp_path / "d"
+        save_dataset(small_synth, root)
+        blob = (root / COPY_NAME).read_bytes()
+        assert self._rewrite_version(blob, 1) == blob
+
+    @pytest.mark.parametrize(
+        "schema", [LoadSchema(subject_col=2, object_col=0), LoadSchema(begin_col=3, end_col=3, time_field="end")]
+    )
+    def test_other_columns_ignore_the_copy(self, schema, small_synth, tmp_path, caplog, parses):
+        root = tmp_path / "d"
+        save_dataset(small_synth, root)
+        got = _load_logged(caplog, root, schema)
+        assert len(parses) == 3
+        TestColumnWiseLoading._assert_same(got[0], _reference_load(root, schema))
+
+    def test_end_column_inside_the_written_ones_still_fails(self, small_synth, tmp_path):
+        root = tmp_path / "d"
+        save_dataset(small_synth, root)
+        with pytest.raises(DataError, match="unparseable time token"):
+            load_quadruples(root, LoadSchema(end_col=2))
+
+    def test_two_saves_are_byte_identical(self, small_synth, tmp_path):
+        for name in ("a", "b", "b"):
+            save_dataset(small_synth, tmp_path / name)
+        assert (tmp_path / "a" / COPY_NAME).read_bytes() == (tmp_path / "b" / COPY_NAME).read_bytes()
+        assert sorted(p.name for p in (tmp_path / "b").iterdir()) == [COPY_NAME, "rule.json"] + [
+            f"{split}.txt" for split in ("test", "train", "valid")
+        ]
+
+    def test_loading_writes_nothing(self, small_synth, mini_dataset, tmp_path):
+        root = tmp_path / "d"
+        save_dataset(small_synth, root)
+        listing = lambda d: {p.name: p.stat().st_mtime_ns for p in d.iterdir()}
+        before = listing(root)
+        load_quadruples(root)
+        load_quadruples(root, LoadSchema(subject_col=2, object_col=0))
+        (root / COPY_NAME).write_bytes(b"TKDS")
+        before[COPY_NAME] = (root / COPY_NAME).stat().st_mtime_ns
+        load_quadruples(root)
+        assert listing(root) == before
+        assert sorted(p.name for p in (FIXTURES / "mini").iterdir()) == ["test.txt", "train.txt", "valid.txt"]
+
+    def test_duplicate_rows_write_no_copy(self, tmp_path, caplog):
+        root = tmp_path / "d"
+        save_dataset(_tiny_vocab_dataset([[0, 0, 1, 0], [1, 1, 2, 1]]), root)
+        assert (root / COPY_NAME).is_file()
+        caplog.clear()
+        save_dataset(_tiny_vocab_dataset([[0, 0, 1, 0], [1, 1, 2, 1], [0, 0, 1, 0]]), root)
+        assert not (root / COPY_NAME).exists()
+        assert caplog.records == []
+        assert len(load_quadruples(root).train) == 2
+
+    def test_rows_meeting_in_one_training_bucket_write_no_copy(self, tmp_path, caplog):
+        # valid years 1901 and 1902 both clamp to the only training year, 1900
+        root = tmp_path / "d"
+        caplog.clear()
+        save_dataset(_tiny_vocab_dataset([[0, 0, 1, 0]], valid=[[0, 0, 1, 1], [0, 0, 1, 2]]), root)
+        assert not (root / COPY_NAME).exists()
+        assert caplog.records == []
+        ds, log = _load_logged(caplog, root)
+        assert len(ds.valid) == 1 and "dropped 1 duplicate quadruples from valid split" in log[0]
+
+
+class TestSaveRefusals:
+    """save_dataset raises DataError for what its text cannot carry, before writing anything."""
+
+    @pytest.mark.parametrize("bad", ["a\tb", "a\rb", "a\nb", "\n"])
+    @pytest.mark.parametrize("kind", ["entity", "relation"])
+    def test_separator_in_name(self, kind, bad, tmp_path):
+        entities, relations = ["A", "B"], ["r"]
+        (entities if kind == "entity" else relations)[-1] = bad
+        ds = Dataset(vocab=Vocabulary(entities, relations, [1984]), train=[[0, 0, 1, 0]], valid=[], test=[])
+        with pytest.raises(DataError, match=re.escape(f"{kind} name {bad!r}")):
+            save_dataset(ds, tmp_path / "d")
+        assert not (tmp_path / "d").exists()
+
+    @pytest.mark.parametrize("year", [99999999, -1234567, 1000000])
+    def test_year_that_does_not_read_back(self, year, tmp_path):
+        v = Vocabulary(["A", "B"], ["r"], sorted([1984, year]))
+        ds = Dataset(vocab=v, train=[[0, 0, 1, 0]], valid=[], test=[])
+        with pytest.raises(DataError, match=str(year)):
+            save_dataset(ds, tmp_path / "d")
+        assert not (tmp_path / "d").exists()
+
+    @pytest.mark.parametrize("year", [-999999, -50, 0, 999999])
+    def test_extreme_readable_years_round_trip(self, year, tmp_path):
+        ds = Dataset(vocab=Vocabulary(["A", "B"], ["r"], [year]), train=[[0, 0, 1, 0]], valid=[], test=[])
+        save_dataset(ds, tmp_path / "d")
+        assert load_quadruples(tmp_path / "d").digest() == ds.digest()
 
 
 class TestBucketsForYears:
