@@ -300,9 +300,27 @@ class SyntheticRule:
         return json.dumps({"n_entities": self.n_entities, "offsets": self.offsets}, sort_keys=True)
 
     @classmethod
-    def from_json(cls, text: str) -> "SyntheticRule":
-        raw = json.loads(text)
-        return cls(n_entities=int(raw["n_entities"]), offsets={k: int(v) for k, v in raw["offsets"].items()})
+    def from_json(cls, text: str | bytes, source: str = "rule.json") -> "SyntheticRule":
+        """Parse to_json's text; bad JSON, a missing key or a wrong type raises DataError naming source."""
+        try:
+            raw = json.loads(text)
+        except ValueError as exc:  # JSONDecodeError, or UnicodeDecodeError for bytes
+            raise DataError(f"{source}: not valid JSON: {exc}") from None
+        if not isinstance(raw, dict):
+            raise DataError(f"{source}: expected a JSON object, got {type(raw).__name__}")
+        for key in ("n_entities", "offsets"):
+            if key not in raw:
+                raise DataError(f"{source}: missing key {key!r}")
+        n_entities, offsets = raw["n_entities"], raw["offsets"]
+        if not _is_int(n_entities):
+            raise DataError(f"{source}: n_entities must be an integer, got {n_entities!r}")
+        if not isinstance(offsets, dict) or not all(map(_is_int, offsets.values())):
+            raise DataError(f"{source}: offsets must map relation names to integers, got {offsets!r}")
+        return cls(n_entities=n_entities, offsets=dict(offsets))
+
+
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
 
 
 @dataclass
@@ -532,7 +550,7 @@ def load_quadruples(path: str | Path, schema: LoadSchema | None = None) -> Datas
     rule = None
     rule_path = root / "rule.json"
     if rule_path.is_file():
-        rule = SyntheticRule.from_json(rule_path.read_text(encoding="utf-8"))
+        rule = SyntheticRule.from_json(rule_path.read_bytes(), source=str(rule_path))
 
     if cached is None:
         ds = _build_dataset(columns, rule=rule, origin=str(root))
@@ -560,7 +578,9 @@ def save_dataset(dataset: Dataset, path: str | Path) -> None:
     exactly what parsing the written text gives: the written columns go
     through _assign_ids, as parsed columns do in _build_dataset.  When the
     reload would drop rows (a split repeating a row, or rows that meet in one
-    training bucket), no copy is written and an older one is removed.  A name
+    training bucket), no copy is written and an older one is removed.  The
+    rule is written to rule.json; without one, an older rule.json is removed,
+    so a reload never carries a rule the data does not have.  A name
     containing a tab or a line break, or a bucket year that does not read back
     as a year, cannot be written faithfully and raises DataError before
     anything is written.
@@ -584,8 +604,11 @@ def save_dataset(dataset: Dataset, path: str | Path) -> None:
     root.mkdir(parents=True, exist_ok=True)
     for split, text in zip(SPLIT_NAMES, texts):
         (root / f"{split}.txt").write_bytes(text)
+    rule_path = root / "rule.json"
     if dataset.rule is not None:
-        (root / "rule.json").write_text(dataset.rule.to_json(), encoding="utf-8")
+        rule_path.write_text(dataset.rule.to_json(), encoding="utf-8")
+    else:
+        rule_path.unlink(missing_ok=True)
     copy_path = root / COPY_NAME
     reloaded, arrays, dropped = _assign_ids(columns, str(root))
     if any(dropped.values()):

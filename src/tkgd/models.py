@@ -20,7 +20,6 @@ differences in the test suite.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable
 
 import numpy as np
 
@@ -47,9 +46,11 @@ GATES = ("input", "forget", "cell", "output")
 N_DIGIT_TOKENS = 10
 YEAR_DIGITS = 4
 
-# Cap on the size of the (queries x candidates x dim) intermediate used by the
-# batched translation scorer, in elements.  Keeps peak memory near 10 MB.
-_CHUNK_ELEMENTS = 2_500_000
+# Squared translation distances at or below this share of |f|^2 + |e|^2 count
+# as exactly zero.  The expansion |f|^2 - 2 f.e + |e|^2 cancels when f and e
+# (nearly) coincide; in float64 its rounding is a few d * 2^-53 of that sum,
+# far below this threshold, which sits at distances of about 1e-6 of the norms.
+_ZERO_DIST_SQ_REL = 1e-12
 
 
 @dataclass
@@ -388,10 +389,22 @@ def _check_ids(vocab: Vocabulary, quads: np.ndarray) -> None:
         raise ValueError(f"{what} id {int(quads[row, col])} outside [0, {int(bounds[col])})")
 
 
-def _candidate_chunks(n_queries: int, dim: int, n_candidates: int) -> Iterable[tuple[int, int]]:
-    step = max(1, _CHUNK_ELEMENTS // max(1, n_queries * dim))
-    for start in range(0, n_candidates, step):
-        yield start, min(start + step, n_candidates)
+def _ttranse_distances(
+    params: TTransEParams, quads: np.ndarray, slot: str
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Float64 fixed parts f (m, d), entity rows e (|E|, d) and distances |f - e| (m, |E|).
+
+    The fixed part is formed in the table dtype, then f and e are upcast and
+    the squared distances come from |f|^2 - 2 f.e + |e|^2 through one matmul.
+    Squares at or below _ZERO_DIST_SQ_REL of |f|^2 + |e|^2, negative
+    rounding included, are set to exactly zero.
+    """
+    f = _ttranse_fixed_part(params, quads, slot).astype(np.float64)
+    e = params.entity_emb.values.astype(np.float64)
+    norms = np.einsum("ij,ij->i", f, f)[:, None] + np.einsum("ij,ij->i", e, e)
+    sq = norms - 2.0 * (f @ e.T)
+    sq[sq <= _ZERO_DIST_SQ_REL * norms] = 0.0
+    return f, e, np.sqrt(sq)
 
 
 def batch_candidate_scores(
@@ -400,20 +413,18 @@ def batch_candidate_scores(
     """Scores of every entity as a candidate for each query, shape (m, |E|).
 
     Matches per-candidate scoring through score_quadruple up to floating
-    point roundoff; the batched path only reorders the same arithmetic.  An
-    entity, relation or bucket id outside the vocabulary raises ValueError.
+    point roundoff.  The translation backbone expands |f - e|^2 into
+    |f|^2 - 2 f.e + |e|^2 and accumulates it in float64 (_ttranse_distances),
+    so the only float32 rounding is the fixed part and the final cast;
+    distances below about 1e-6 of the norms score exactly zero.  An entity,
+    relation or bucket id outside the vocabulary raises ValueError.
     """
     quads = np.asarray(quads, dtype=np.int64).reshape(-1, 4)
     _check_ids(vocab, quads)
     ent = params.entity_emb.values
-    m, n_e = len(quads), ent.shape[0]
     if params.backbone == "ttranse":
-        fixed = _ttranse_fixed_part(params, quads, slot)
-        scores = np.empty((m, n_e), dtype=ent.dtype)
-        for lo, hi in _candidate_chunks(m, params.dim, n_e):
-            diff = fixed[:, None, :] - ent[None, lo:hi, :]
-            scores[:, lo:hi] = -np.sqrt(np.sum(diff * diff, axis=2))
-        return scores
+        _, _, dist = _ttranse_distances(params, quads, slot)
+        return (-dist).astype(ent.dtype)
     pseqs, _, _ = _encode_pairs(params, vocab, quads)
     fixed_idx = quads[:, 0] if slot == "object" else quads[:, 2]
     w = ent[fixed_idx] * pseqs
@@ -471,19 +482,14 @@ def batch_candidate_backprop(
     _check_ids(vocab, quads)
     dscores = np.asarray(dscores)
     ent = params.entity_emb.values
-    m, n_e = dscores.shape
 
     if params.backbone == "ttranse":
-        fixed = _ttranse_fixed_part(params, quads, slot)
-        grad_fixed = np.zeros_like(fixed)
-        grad_ent = np.zeros_like(ent)
-        for lo, hi in _candidate_chunks(m, params.dim, n_e):
-            diff = fixed[:, None, :] - ent[None, lo:hi, :]
-            dist = np.sqrt(np.sum(diff * diff, axis=2))
-            w = dscores[:, lo:hi] / np.where(dist > 0, dist, 1.0)
-            weighted = w[:, :, None] * diff
-            grad_fixed -= weighted.sum(axis=1)
-            grad_ent[lo:hi] += np.einsum("qjd->jd", weighted)
+        # score = -|f - e|, so with w = dscores / dist (zero at zero distance)
+        # df = -sum_j w_j (f - e_j) and de_j = sum_q w_qj (f_q - e_j)
+        f, e, dist = _ttranse_distances(params, quads, slot)
+        w = np.divide(dscores, dist, out=np.zeros_like(dist), where=dist > 0)
+        grad_fixed = (w @ e - w.sum(axis=1)[:, None] * f).astype(ent.dtype)
+        grad_ent = (w.T @ f - w.sum(axis=0)[:, None] * e).astype(ent.dtype)
         grads.add_dense("entity_emb", grad_ent)
         if slot == "object":
             grads.add_rows("entity_emb", quads[:, 0], grad_fixed)

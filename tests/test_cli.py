@@ -11,7 +11,7 @@ import pytest
 
 from tkgd.checkpoint import load_checkpoint
 from tkgd.cli import main
-from tkgd.graph import generate_synthetic
+from tkgd.graph import generate_synthetic, save_dataset
 from tkgd.models import init_params
 
 BASE_CONFIG = """\
@@ -317,6 +317,31 @@ class TestFailureModes:
         assert main(["evaluate", "--config", more, "--checkpoint", teacher]) == 1
         err = capsys.readouterr().err
         assert "error:" in err and "time buckets" in err
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize(
+        "blob, problem",
+        [
+            (b"{}", "missing key 'n_entities'"),
+            (b'{"n_entities": 12}', "missing key 'offsets'"),
+            (b'{"n_entities": "12", "offsets": {"r0": 1}}', "n_entities must be an integer"),
+            (b'{"n_entities": 12, "offsets": {"r0": 1.5}}', "offsets must map relation names to integers"),
+            (b"[12]", "expected a JSON object"),
+            (b'{"n_entities": 12,', "not valid JSON"),
+            (b'{"n_entities": 12, "offsets": {"r\xff": 1}}', "not valid JSON"),
+        ],
+    )
+    def test_malformed_rule_json(self, tmp_path, monkeypatch, capsys, blob, problem):
+        monkeypatch.chdir(tmp_path)
+        data = tmp_path / "data"
+        save_dataset(generate_synthetic(12, 2, 4, 90, 0.9, seed=13), data)
+        (data / "rule.json").write_bytes(blob)
+        cfg = _write(tmp_path, BASE_CONFIG.replace("synthetic = yes", f"synthetic = no\npath = {data}"))
+        capsys.readouterr()
+        assert main(["prepare", "--config", cfg]) == 1
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1 and err.startswith("error: ")
+        assert str(data / "rule.json") in err and problem in err
         assert "Traceback" not in err
 
     def test_single_entity_dataset_rejected(self, tmp_path, monkeypatch, capsys):

@@ -275,6 +275,17 @@ class TestLoading:
         back = load_quadruples(tmp_path / "copy")
         assert back.digest() == mini_dataset.digest()
 
+    def test_rule_less_save_removes_an_older_rule(self, small_synth, mini_dataset, tmp_path):
+        root = tmp_path / "copy"
+        save_dataset(small_synth, root)
+        assert (root / "rule.json").is_file()
+        assert mini_dataset.rule is None
+        save_dataset(mini_dataset, root)
+        back = load_quadruples(root)
+        assert back.rule is None
+        assert not (root / "rule.json").exists()
+        assert back.digest() == mini_dataset.digest()
+
 
 # Each case is (train, valid, test) file text; valid and test reuse names so ids cross splits.
 LOADING_CASES = {

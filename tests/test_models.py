@@ -9,6 +9,7 @@ from tkgd.models import (
     TADistMultParams,
     TTransEParams,
     _encode_pairs,
+    _ttranse_fixed_part,
     batch_candidate_backprop,
     batch_candidate_scores,
     init_params,
@@ -417,6 +418,81 @@ class TestCandidateScoring:
         s32 = batch_candidate_scores(params32, vocab, quads, "object")
         s64 = batch_candidate_scores(params64, vocab, quads, "object")
         assert np.max(np.abs(s32.astype(np.float64) - s64)) < 1e-5
+
+
+class TestTTransEDistances:
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("slot", ["object", "subject"])
+    def test_coincident_candidate(self, dtype, slot):
+        # each query gets its own candidate row equal to its fixed part
+        params = init_params("ttranse", 16, 12, 3, 2, seed=21, dtype=dtype)
+        vocab = _vocab(12, 3, [1900, 1910])
+        quads = np.array([[1, 2, 4, 1], [0, 1, 3, 0], [5, 0, 2, 1], [7, 2, 6, 0]])
+        queries, coincident = np.arange(4), np.arange(8, 12)
+        params.entity_emb.values[coincident] = _ttranse_fixed_part(params, quads, slot)
+
+        scores = batch_candidate_scores(params, vocab, quads, slot)
+        assert scores.dtype == dtype
+        assert np.all(scores[queries, coincident] == 0.0)
+        assert np.sum(scores < 0.0) == scores.size - len(queries)
+
+        only_coincident = np.zeros(scores.shape)
+        only_coincident[queries, coincident] = 1.0
+        grads = GradAccum(params)
+        batch_candidate_backprop(params, vocab, quads, slot, only_coincident, grads)
+        for grad in grads.dense_dict().values():
+            assert np.all(grad == 0.0)
+
+        grads = GradAccum(params)
+        batch_candidate_backprop(params, vocab, quads, slot, np.ones(scores.shape), grads)
+        for grad in grads.dense_dict().values():
+            assert np.all(np.isfinite(grad))
+
+    def test_float32_scores_as_accurate_as_broadcasting(self):
+        # Trained-like float32 tables: rows of norm 1-3, each query's truth a
+        # short translation away, and a rival candidate 2e-4 nearer or farther
+        # than the truth along the same line, so the truth's rank hinges on
+        # distances 4e-6 to 1.6e-5 apart.  The reference broadcasts in float64
+        # over the float32 fixed parts and table, the inputs the scorer sees.
+        rng = np.random.default_rng(2024)
+        n_e, n_r, n_b, d, m = 500, 8, 4, 32, 64
+
+        def rows(n, lo, hi):
+            v = rng.normal(size=(n, d))
+            return v / np.linalg.norm(v, axis=1, keepdims=True) * rng.uniform(lo, hi, size=(n, 1))
+
+        ent = rows(n_e, 1.0, 3.0)
+        rel, tim = rows(n_r, 0.3, 0.8), rows(n_b, 0.1, 0.2)
+        picks = rng.permutation(n_e)[: 4 * m].reshape(4, m)
+        subj, obj = picks[0], picks[1]
+        rel_ids, bucket_ids = rng.integers(n_r, size=m), rng.integers(n_b, size=m)
+        ent[subj] = rows(m, 1.0, 2.0)
+        ent[obj] = ent[subj] + rel[rel_ids] + tim[bucket_ids] + rows(m, 0.02, 0.08)
+        params = TTransEParams(*(ParamTensor(t.astype(np.float32)) for t in (ent, rel, tim)))
+        vocab = _vocab(n_e, n_r, range(1900, 1900 + n_b))
+        quads = np.stack([subj, rel_ids, obj, bucket_ids], axis=1)
+
+        for slot, truth, rivals in (("object", obj, picks[2]), ("subject", subj, picks[3])):
+            fixed = _ttranse_fixed_part(params, quads, slot)
+            table = params.entity_emb.values
+            stretch = 1.0 + 2e-4 * rng.choice([-1.0, 1.0], size=(m, 1))
+            table[rivals] = fixed + (table[truth] - fixed) * stretch
+
+            diff = fixed.astype(np.float64)[:, None, :] - table.astype(np.float64)[None, :, :]
+            reference = -np.sqrt(np.sum(diff * diff, axis=2))
+            diff32 = fixed[:, None, :] - table[None, :, :]
+            broadcast32 = -np.sqrt(np.sum(diff32 * diff32, axis=2))
+            got = batch_candidate_scores(params, vocab, quads, slot)
+
+            assert got.dtype == np.float32
+            assert np.max(np.abs(got - reference)) <= np.max(np.abs(broadcast32 - reference))
+
+            def truth_ranks(scores):
+                return 1 + np.sum(scores > scores[np.arange(m), truth][:, None], axis=1)
+
+            want = truth_ranks(reference)
+            assert set(want.tolist()) == {1, 2}
+            np.testing.assert_array_equal(truth_ranks(got), want)
 
 
 class TestGradAccum:
