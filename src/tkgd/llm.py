@@ -7,20 +7,20 @@ Scores live on a 0 to 100 scale.
 """
 from __future__ import annotations
 
-import functools
 import hashlib
 import json
 import logging
 import os
 import re
 import time
+import weakref
 from dataclasses import dataclass
 from datetime import datetime, timezone
 from pathlib import Path
 
 import numpy as np
 
-from .graph import SyntheticRule, Vocabulary
+from .graph import DataError, SyntheticRule, Vocabulary
 from .models import Params, batch_candidate_scores, score_quadruple
 
 logger = logging.getLogger(__name__)
@@ -97,18 +97,36 @@ class LlmResult:
     cached: bool
 
 
-@functools.lru_cache(maxsize=65536)
 def _sanitize(name: str) -> str:
-    """name on one line; cached, since every prompt repeats the same few names."""
+    """name on one line, so the line protocol of the answer stays parseable."""
     return re.sub(r"[\t\r\n]+", " ", name)
 
 
+# vocabulary -> (entity names, relation names) through _sanitize, filled on the vocabulary's first prompt
+_FLAT_NAMES = weakref.WeakKeyDictionary()
+
+
+def _flat_names(vocab: Vocabulary) -> tuple[list[str], list[str]]:
+    names = _FLAT_NAMES.get(vocab)
+    if names is None:
+        names = _FLAT_NAMES[vocab] = (
+            [_sanitize(n) for n in vocab.entity_names],
+            [_sanitize(n) for n in vocab.relation_names],
+        )
+    return names
+
+
 def build_prompt(quad, slot: str, candidate_ids: np.ndarray, vocab: Vocabulary) -> str:
-    """Deterministic prompt text for one query.
+    """make_query's prompt text."""
+    return make_query(quad, slot, candidate_ids, vocab).prompt
+
+
+def make_query(quad, slot: str, candidate_ids: np.ndarray, vocab: Vocabulary) -> LlmQuery:
+    """One query with its deterministic prompt text.
 
     Candidates are numbered from 1 in the order given.  At most 50 candidates
-    fit one prompt.  Names are flattened to single lines so the line protocol
-    of the answer stays parseable.
+    fit one prompt.  Names are flattened to single lines, once per
+    vocabulary, so the line protocol of the answer stays parseable.
     """
     if slot not in ("subject", "object"):
         raise ValueError(f"slot must be 'subject' or 'object', got {slot!r}")
@@ -117,68 +135,61 @@ def build_prompt(quad, slot: str, candidate_ids: np.ndarray, vocab: Vocabulary) 
         raise ValueError("candidate list is empty")
     if candidate_ids.size > MAX_PROMPT_CANDIDATES:
         raise ValueError(f"{candidate_ids.size} candidates exceed the prompt limit of {MAX_PROMPT_CANDIDATES}")
-    s, p, o, t = (int(v) for v in quad)
-    subject = "?" if slot == "subject" else _sanitize(vocab.entity_names[s])
-    objekt = "?" if slot == "object" else _sanitize(vocab.entity_names[o])
-    relation = _sanitize(vocab.relation_names[p])
+    ids = candidate_ids.tolist()
+    s, p, o, t = map(int, quad)
+    flat_entities, flat_relations = _flat_names(vocab)
+    names = vocab.entity_names
     year = vocab.time_buckets[t]
-    lines = [
-        "Fact with one unknown:",
-        f"  subject: {subject}",
-        f"  relation: {relation}",
-        f"  object: {objekt}",
-        f"  year: {year}",
-        f"Rate how plausible each candidate is as the {slot}, "
-        "from 0 (impossible) to 100 (certain).",
-        "Candidates:",
-    ]
-    for i, cid in enumerate(candidate_ids, start=1):
-        lines.append(f"{i}. {_sanitize(vocab.entity_names[int(cid)])}")
-    lines.append('Reply with one line per candidate, formatted "<index>: <integer score>". No other text.')
-    return "\n".join(lines)
-
-
-def make_query(quad, slot: str, candidate_ids: np.ndarray, vocab: Vocabulary) -> LlmQuery:
-    prompt = build_prompt(quad, slot, candidate_ids, vocab)
-    s, p, o, t = (int(v) for v in quad)
+    numbered = "\n".join([f"{i}. {flat_entities[c]}" for i, c in enumerate(ids, start=1)])
+    prompt = (
+        "Fact with one unknown:\n"
+        f"  subject: {'?' if slot == 'subject' else flat_entities[s]}\n"
+        f"  relation: {flat_relations[p]}\n"
+        f"  object: {'?' if slot == 'object' else flat_entities[o]}\n"
+        f"  year: {year}\n"
+        f"Rate how plausible each candidate is as the {slot}, from 0 (impossible) to 100 (certain).\n"
+        f"Candidates:\n{numbered}\n"
+        'Reply with one line per candidate, formatted "<index>: <integer score>". No other text.'
+    )
     return LlmQuery(
-        subject="?" if slot == "subject" else vocab.entity_names[s],
+        subject="?" if slot == "subject" else names[s],
         relation=vocab.relation_names[p],
-        object="?" if slot == "object" else vocab.entity_names[o],
-        year=int(vocab.time_buckets[t]),
+        object="?" if slot == "object" else names[o],
+        year=int(year),
         slot=slot,
-        candidates=tuple(vocab.entity_names[int(c)] for c in np.asarray(candidate_ids, dtype=np.int64)),
+        candidates=tuple([names[c] for c in ids]),
         prompt=prompt,
         prompt_hash=hashlib.sha256(prompt.encode("utf-8")).hexdigest(),
     )
 
 
-_SCORE_LINE = re.compile(r"^\s*(\d+)\s*[:.)\-]\s*(-?\d+(?:\.\d+)?)\s*$")
+# One score line of the answer, matched in all lines at once: parse_scores joins the
+# lines with "\n", and [^\S\n] (whitespace but "\n") keeps each match inside its line.
+_SCORE_LINE = re.compile(r"^[^\S\n]*(\d+)[^\S\n]*[:.)\-][^\S\n]*(-?\d+(?:\.\d+)?)[^\S\n]*$", re.MULTILINE)
 
 
 def parse_scores(text: str, n_candidates: int) -> list[float] | None:
     """Extract per-candidate scores from response text.
 
-    Lines look like '3: 78'; indices are 1-based prompt numbers.  Scores
-    clamp into [0, 100], the first occurrence of an index wins, out-of-range
-    indices are ignored, and missing candidates fall back to the 50 midpoint.
-    Returns None (parse failure) when fewer than half the candidates were
-    matched.
+    Lines look like '3: 78'; indices are 1-based prompt numbers.  Lines are
+    those of str.splitlines.  Scores clamp into [0, 100], the first
+    occurrence of an index wins, out-of-range indices are ignored, and
+    missing candidates fall back to the 50 midpoint.  Returns None (parse
+    failure) when fewer than half the candidates were matched.
     """
     if n_candidates < 1:
         raise ValueError("n_candidates must be positive")
-    found: dict[int, float] = {}
-    for line in text.splitlines():
-        m = _SCORE_LINE.match(line)
-        if m is None:
-            continue
-        idx = int(m.group(1))
-        if not (1 <= idx <= n_candidates) or idx in found:
-            continue
-        found[idx] = min(max(float(m.group(2)), 0.0), 100.0)
-    if 2 * len(found) < n_candidates:
+    scores: list[float | None] = [None] * n_candidates
+    matched = 0
+    for idx, score in _SCORE_LINE.findall("\n".join(text.splitlines())):
+        i = int(idx) - 1
+        if 0 <= i < n_candidates and scores[i] is None:
+            v = float(score)
+            scores[i] = 0.0 if v < 0.0 else 100.0 if v > 100.0 else v
+            matched += 1
+    if 2 * matched < n_candidates:
         return None
-    return [found.get(i, FALLBACK_SCORE) for i in range(1, n_candidates + 1)]
+    return [FALLBACK_SCORE if v is None else v for v in scores]
 
 
 def cache_key(model_id: str, prompt: str) -> str:
@@ -187,6 +198,10 @@ def cache_key(model_id: str, prompt: str) -> str:
     h.update(b"\x00")
     h.update(prompt.encode("utf-8"))
     return h.hexdigest()
+
+
+# json.dumps(record, sort_keys=True) builds a new encoder per call; this one is built once
+_RECORD_ENCODER = json.JSONEncoder(sort_keys=True)
 
 
 class ScoreCache:
@@ -211,8 +226,11 @@ class ScoreCache:
                         continue
                     try:
                         rec = json.loads(line)
+                    except json.JSONDecodeError:
+                        rec = None
+                    if isinstance(rec, dict) and isinstance(rec.get("key"), str):
                         self._records[rec["key"]] = rec
-                    except (json.JSONDecodeError, KeyError):
+                    else:
                         logger.warning("%s:%d: skipping corrupt cache record", self.path, lineno)
 
     def __len__(self) -> int:
@@ -227,7 +245,7 @@ class ScoreCache:
             if self._fh is None:
                 self.path.parent.mkdir(parents=True, exist_ok=True)
                 self._fh = self.path.open("a", encoding="utf-8")
-            self._fh.write(json.dumps(record, sort_keys=True) + "\n")
+            self._fh.write(_RECORD_ENCODER.encode(record) + "\n")
             self._fh.flush()
 
     def close(self) -> None:
@@ -324,9 +342,15 @@ class RemoteTeacher(TeacherHandle):
                         delay = min(float(retry_after), MAX_RETRY_AFTER)
                 else:
                     try:
-                        return resp.json()["choices"][0]["message"]["content"]
-                    except (ValueError, KeyError, IndexError) as exc:
+                        content = resp.json()["choices"][0]["message"]["content"]
+                    except (ValueError, LookupError, TypeError) as exc:
                         last_error = LlmTransportError(f"malformed completion payload: {exc}")
+                    else:
+                        if isinstance(content, str):
+                            return content
+                        last_error = LlmTransportError(
+                            f"malformed completion payload: content is {type(content).__name__}, not a string"
+                        )
             if attempt < self.max_retries - 1:
                 time.sleep(delay)
         raise LlmTransportError(f"request failed after {self.max_retries} attempts: {last_error}")
@@ -334,6 +358,12 @@ class RemoteTeacher(TeacherHandle):
 
 def _render_lines(scores) -> str:
     return "\n".join(f"{i}: {float(v):.4f}" for i, v in enumerate(scores, start=1))
+
+
+# _render_lines of a 0 or 100 score on every prompt line: _PLANTED_LINES[i][good] is line i + 1
+_PLANTED_LINES = tuple(
+    (f"{i}: {0.0:.4f}", f"{i}: {100.0:.4f}") for i in range(1, MAX_PROMPT_CANDIDATES + 1)
+)
 
 
 class EchoTeacher(TeacherHandle):
@@ -382,17 +412,38 @@ class PlantedRuleTeacher(TeacherHandle):
     def __init__(self, rule: SyntheticRule, model_id: str = "mock-planted"):
         super().__init__(model_id)
         self.rule = rule
+        # entity name -> the rule's index for it, or None for a name the rule cannot read
+        self._index: dict[str, int | None] = {}
+
+    def _entity_index(self, name: str) -> int | None:
+        try:
+            return self._index[name]
+        except KeyError:
+            pass
+        try:
+            index = self.rule.entity_index(name)
+        except (DataError, ValueError):
+            index = None
+        self._index[name] = index
+        return index
 
     def complete(self, query: LlmQuery) -> str:
+        """The text _render_lines gives for rule.matches of every candidate, 100 or 0."""
         self.calls += 1
-        scores = []
-        for name in query.candidates:
-            if query.slot == "object":
-                good = self.rule.matches(query.subject, query.relation, name)
-            else:
-                good = self.rule.matches(name, query.relation, query.object)
-            scores.append(100.0 if good else 0.0)
-        return _render_lines(scores)
+        rule, candidates = self.rule, query.candidates
+        offset = rule.offsets.get(query.relation)
+        good = [False] * len(candidates)
+        if offset is not None and query.slot == "object":
+            s = self._entity_index(query.subject)
+            if s is not None and s + offset < rule.n_entities:
+                want = rule.entity_name(s + offset)
+                good = [name == want for name in candidates]
+        elif offset is not None:
+            # e<s + offset> names the object exactly when the object is the canonical name of s + offset
+            o = self._entity_index(query.object)
+            if o is not None and o < rule.n_entities and rule.entity_name(o) == query.object:
+                good = [self._entity_index(name) == o - offset for name in candidates]
+        return "\n".join([_PLANTED_LINES[i][g] for i, g in enumerate(good)])
 
 
 class NoiseTeacher(TeacherHandle):
@@ -413,6 +464,10 @@ class NoiseTeacher(TeacherHandle):
         return _render_lines(rng.integers(0, 101, size=len(query.candidates)).astype(np.float64))
 
 
+# JSON numbers as json.loads returns them; bool is excluded on purpose
+_NUMBER_TYPES = frozenset((int, float))
+
+
 def score_query(
     handle: TeacherHandle,
     quad,
@@ -425,15 +480,18 @@ def score_query(
 
     Cache hits never touch the handle.  Unparseable responses fall back to
     uniform midpoint scores with usable = False so downstream losses can skip
-    them; the failure is cached to keep replays deterministic.
+    them; the failure is cached to keep replays deterministic.  A cached
+    record whose scores are neither None nor a list of one number per
+    candidate raises LlmError.
     """
     lq = make_query(quad, slot, candidate_ids, vocab)
     key = cache_key(handle.model_id, lq.prompt)
     record = cache.get(key) if cache is not None else None
     cached = record is not None
+    n = len(lq.candidates)
     if record is None:
         text = handle.complete(lq)
-        parsed = parse_scores(text, len(lq.candidates))
+        parsed = parse_scores(text, n)
         if parsed is None:
             logger.warning("unparseable scores for prompt %s; using midpoint fallback", lq.prompt_hash[:12])
         record = {
@@ -447,11 +505,14 @@ def score_query(
         }
         if cache is not None:
             cache.put(record)
-    if record.get("parse_failed") or record.get("scores") is None:
-        return LlmResult(
-            scores=np.full(len(lq.candidates), FALLBACK_SCORE), usable=False, cached=cached
-        )
-    return LlmResult(scores=np.asarray(record["scores"], dtype=np.float64), usable=True, cached=cached)
+    scores = record.get("scores")
+    if cached and scores is not None and not (
+        type(scores) is list and len(scores) == n and _NUMBER_TYPES.issuperset(map(type, scores))
+    ):
+        raise LlmError(f"cache record {key[:12]}: scores must be a list of {n} numbers, got {scores!r:.60}")
+    if record.get("parse_failed") or scores is None:
+        return LlmResult(scores=np.full(n, FALLBACK_SCORE), usable=False, cached=cached)
+    return LlmResult(scores=np.asarray(scores, dtype=np.float64), usable=True, cached=cached)
 
 
 def resolve_topk(
@@ -476,20 +537,22 @@ def resolve_topk(
     """
     quads = np.asarray(quads, dtype=np.int64).reshape(-1, 4)
     slots = np.asarray(slots, dtype=object)
+    quad_rows, slot_names = quads.tolist(), slots.tolist()
     n, k = len(quads), min(k, vocab.n_entities)
     candidates = np.zeros((n, k), dtype=np.int64)
     scores = np.empty((n, k), dtype=np.float64)
     usable = np.empty(n, dtype=bool)
     hits = 0
     for lo in range(0, n, block):
-        rows = np.arange(lo, min(lo + block, n))
+        hi = min(lo + block, n)
+        rows = np.arange(lo, hi)
         for slot in ("subject", "object"):
             sel = rows[slots[rows] == slot]
             if sel.size:
                 t_scores = batch_candidate_scores(teacher, vocab, quads[sel], slot)
                 candidates[sel] = np.argsort(-t_scores, axis=1, kind="stable")[:, :k]
-        for i in rows:
-            result = score_query(handle, quads[i], slots[i], candidates[i], vocab, cache=cache)
+        for i in range(lo, hi):
+            result = score_query(handle, quad_rows[i], slot_names[i], candidates[i], vocab, cache=cache)
             scores[i] = result.scores
             usable[i] = result.usable
             hits += int(result.cached)

@@ -1,5 +1,6 @@
 """End-to-end pipeline tests driven through the command-line entry point."""
 import json
+import logging
 import os
 import re
 import subprocess
@@ -387,6 +388,40 @@ class TestCacheLlmCommand:
         assert main(["cache-llm", "--config", cfg, "--queries", str(queries)]) == 0
         out = capsys.readouterr().out
         assert "cache holds 2 responses" in out
+
+    def test_corrupt_cache_lines_skipped(self, tmp_path, monkeypatch, capsys, caplog):
+        monkeypatch.chdir(tmp_path)
+        cfg = _write(tmp_path)
+        assert main(["train-teacher", "--config", cfg]) == 0
+        assert main(["cache-llm", "--config", cfg]) == 0
+        cache = Path("out") / "llm_cache.jsonl"  # as the config names it, relative to the working directory
+        n_records = len(cache.read_text().splitlines())
+        with cache.open("a") as fh:
+            fh.write('[1]\n"abc"\nnull\n{"key": [1], "scores": [1, 2, 3, 4, 5]}\n')
+        capsys.readouterr()
+        with caplog.at_level(logging.WARNING, logger="tkgd.llm"):
+            assert main(["cache-llm", "--config", cfg]) == 0
+        out, err = capsys.readouterr()
+        assert "handle calls 0" in out
+        assert "Traceback" not in err
+        assert [r.getMessage() for r in caplog.records if r.name == "tkgd.llm"] == [
+            f"{cache}:{n_records + i}: skipping corrupt cache record" for i in range(1, 5)
+        ]
+
+    @pytest.mark.parametrize("bad", [[1, 2], "abc"], ids=["short", "string"])
+    def test_malformed_cached_scores_exit_cleanly(self, tmp_path, monkeypatch, capsys, bad):
+        monkeypatch.chdir(tmp_path)
+        cfg = _write(tmp_path)
+        assert main(["train-teacher", "--config", cfg]) == 0
+        assert main(["cache-llm", "--config", cfg]) == 0
+        cache = tmp_path / "out" / "llm_cache.jsonl"
+        records = [json.loads(line) for line in cache.read_text().splitlines()]
+        records[0]["scores"] = bad  # the first query's record: the replay looks it up first
+        cache.write_text("".join(json.dumps(rec) + "\n" for rec in records))
+        capsys.readouterr()
+        assert main(["cache-llm", "--config", cfg]) == 1
+        err = capsys.readouterr().err
+        assert err == f"error: cache record {records[0]['key'][:12]}: scores must be a list of 5 numbers, got {bad!r}\n"
 
     def test_bad_query_file_rejected(self, tmp_path, monkeypatch, capsys):
         monkeypatch.chdir(tmp_path)
