@@ -21,8 +21,21 @@ import numpy as np
 from . import llm as llm_mod
 from .evaluate import evaluate
 from .graph import Dataset
-from .models import GradAccum, Params, batch_candidate_backprop, batch_candidate_scores, init_params
-from .numerics import ParamTensor, adagrad_step, log_softmax_with_temperature, softmax_with_temperature
+from .models import (
+    GradAccum,
+    Params,
+    batch_candidate_backprop,
+    batch_candidate_scores,
+    init_params,
+    pair_encoding,
+)
+from .numerics import (
+    ParamTensor,
+    adagrad_step,
+    log_softmax_with_temperature,
+    softmax_with_temperature,
+    sorted_unique,
+)
 
 logger = logging.getLogger(__name__)
 
@@ -477,8 +490,12 @@ def distill_run(
     each training query's top-llm_topk shortlist and its language-model
     scores are resolved once per run, at the first phase-2 epoch: without a
     cache the handle is called once per query per run, and phase 1 never
-    calls it.  The student snapshot with the best validation MRR is returned
-    (the final state when the validation split is empty or never evaluated).
+    calls it.  Each batch encodes the (relation, bucket) pairs of the teacher
+    and of the student once (models.pair_encoding): the student's encoding
+    serves both slots' scores and backprops, since its parameters change only
+    when the batch's gradients are applied.  The student snapshot with the
+    best validation MRR is returned (the final state when the validation
+    split is empty or never evaluated).
     One log record per epoch: epoch, phase, method, train_loss (the mean
     loss per query, each training fact counting once per slot), llm_calls
     (the handle's cumulative call count), llm_hits, llm_misses and
@@ -521,10 +538,12 @@ def distill_run(
             m = len(quads)
             grads = GradAccum(student.params)
             batch_loss = 0.0
+            t_encoding = pair_encoding(teacher, vocab, quads)
+            s_encoding = pair_encoding(student.params, vocab, quads)
 
             for si, slot in enumerate(("subject", "object")):
-                t_scores = batch_candidate_scores(teacher, vocab, quads, slot)
-                s_scores = batch_candidate_scores(student.params, vocab, quads, slot)
+                t_scores = batch_candidate_scores(teacher, vocab, quads, slot, t_encoding)
+                s_scores = batch_candidate_scores(student.params, vocab, quads, slot, s_encoding)
                 gts = quads[:, 0] if slot == "subject" else quads[:, 2]
                 d_scores = np.zeros_like(s_scores)
 
@@ -550,13 +569,13 @@ def distill_run(
                         batch_loss += term
 
                 d_scores /= 2.0 * m  # queries per batch: both slots
-                batch_candidate_backprop(student.params, vocab, quads, slot, d_scores, grads)
+                batch_candidate_backprop(student.params, vocab, quads, slot, d_scores, grads, s_encoding)
 
             batch_loss /= 2.0 * m
             n_queries += 2 * m
 
             if cfg.method == "fitnet":
-                ids = np.unique(quads[:, [0, 2]])
+                ids = sorted_unique(quads[:, [0, 2]])
                 l_hint, g_emb, g_reg = fitnet_hint_loss(
                     student.params.entity_emb.values[ids],
                     teacher.entity_emb.values[ids],
@@ -566,7 +585,7 @@ def distill_run(
                 grads.add_rows("entity_emb", ids, g_emb)
                 adagrad_step(student.fitnet_regressor, g_reg, lr=lr, eps=eps)
             elif cfg.method == "rkd":
-                ids = np.unique(quads[:, [0, 2]])
+                ids = sorted_unique(quads[:, [0, 2]])
                 if len(ids) > RKD_MAX_BATCH:
                     ids = np.sort(rng.choice(ids, size=RKD_MAX_BATCH, replace=False))
                 if len(ids) >= 3:

@@ -7,8 +7,9 @@ first removes candidates that complete a different known fact.
 evaluate() scores the split in row blocks with batch_candidate_scores, the
 scorer training uses, and ranks each block at once through rank_of, masked in
 filtered mode by KnownFacts.keep_mask, a sorted-key lookup of every row's known
-completions.  brute_force_oracle shares none of that path, its known-fact set
-included, and is the independent check.
+completions.  A block's (relation, bucket) pairs are encoded once and that
+encoding scores both of its corrupted slots.  brute_force_oracle shares none
+of that path, its known-fact set included, and is the independent check.
 """
 from __future__ import annotations
 
@@ -17,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .graph import SPLIT_NAMES, Dataset, DataError
-from .models import Params, batch_candidate_scores, score_quadruple
+from .models import Params, batch_candidate_scores, pair_encoding, score_quadruple
 
 __all__ = ["RankingReport", "rank_of", "evaluate", "brute_force_oracle"]
 
@@ -63,6 +64,11 @@ def rank_of(
     candidate, optimistic before, and mean adds floor(ties / 2).  keep, shaped
     like scores, masks candidates out: a masked candidate counts neither as
     better nor as tied.  The ground truth itself must be kept.
+
+    With n_gt better and n_eq tied candidates, the truth among the tied, the
+    pessimistic rank is n_gt + n_eq, counted in one >= mask; optimistic is
+    1 + n_gt, and mean is 1 + n_gt + (n_eq - 1) // 2.  A NaN ground-truth
+    score has no better and no tied candidate, itself included.
     """
     if tie_policy not in TIE_POLICIES:
         raise ValueError(f"unknown tie policy {tie_policy!r}; expected one of {TIE_POLICIES}")
@@ -73,20 +79,23 @@ def rank_of(
         raise ValueError("ground-truth index out of range, or not one index per row of scores")
     rows = np.arange(len(block))
     gt_scores = block[rows, gt][:, None]
-    better = block > gt_scores
-    tied = block == gt_scores
     if keep is not None:
         keep = np.asarray(keep, dtype=bool).reshape(block.shape)
         if not keep[rows, gt].all():
             raise ValueError("keep must keep the ground truth")
-        better &= keep
-        tied &= keep
-    ties = tied.sum(axis=1) - 1
-    if tie_policy == "optimistic":
-        ties = 0
-    elif tie_policy == "mean":
-        ties = ties // 2
-    ranks = 1 + better.sum(axis=1) + ties
+
+    def count(mask: np.ndarray) -> np.ndarray:
+        if keep is not None:
+            mask &= keep
+        return np.count_nonzero(mask, axis=1)
+
+    if tie_policy == "pessimistic":
+        ranks = count(block >= gt_scores)
+    else:
+        n_gt = count(block > gt_scores)
+        ranks = 1 + n_gt
+        if tie_policy == "mean":
+            ranks += (count(block >= gt_scores) - n_gt - 1) // 2
     return int(ranks[0]) if scores.ndim == 1 else ranks
 
 
@@ -108,7 +117,11 @@ def _query_ranks(
     mode: str,
     tie_policy: str,
 ) -> np.ndarray:
-    """Ranks in row order, the subject slot before the object slot."""
+    """Ranks in row order, the subject slot before the object slot.
+
+    Each block of rows is encoded once (pair_encoding, None for ttranse), and
+    that encoding serves both slots' batch_candidate_scores.
+    """
     facts = dataset.split(split)
     if len(facts) == 0:
         raise DataError(f"cannot evaluate on empty split {split!r}")
@@ -119,8 +132,9 @@ def _query_ranks(
     block_rows = max(1, _BLOCK_SCORES // vocab.n_entities)
     for lo in range(0, len(facts), block_rows):
         quads = facts[lo : lo + block_rows]
+        encoding = pair_encoding(params, vocab, quads)
         for col, (slot, truth) in enumerate((("subject", quads[:, 0]), ("object", quads[:, 2]))):
-            scores = batch_candidate_scores(params, vocab, quads, slot)
+            scores = batch_candidate_scores(params, vocab, quads, slot, encoding)
             keep = dataset.known.keep_mask(quads, slot, vocab.n_entities) if mode == "filtered" else None
             ranks[lo : lo + len(quads), col] = rank_of(scores, truth, tie_policy, keep)
     return ranks.ravel()

@@ -10,8 +10,12 @@ order.  The encoder input depends only on the (relation, bucket) pair, so
 batched scoring and training run the LSTM once per distinct pair in the batch,
 all pairs as one (n, L) token batch.  Pairs are found through the integer key
 relation * B + bucket and tokenized in one array step; ta_tokenize is the
-per-pair reference.  Sparse row gradients, the per-pair hidden-state gradients
-included, accumulate through numerics.scatter_add_rows.
+per-pair reference.  The encoding does not depend on the corrupted slot, so a
+caller that scores both slots of the same rows, or scores and then backprops
+them before the parameters change, takes it once from pair_encoding and
+passes it to batch_candidate_scores and batch_candidate_backprop.  Sparse row
+gradients, the per-pair hidden-state gradients included, accumulate through
+numerics.scatter_add_rows.
 
 All gradients in this file are written out by hand; there is no autodiff
 anywhere.  Every backward path is validated against central finite
@@ -36,6 +40,7 @@ __all__ = [
     "lstm_backward",
     "score_quadruple",
     "score_candidates",
+    "pair_encoding",
     "batch_candidate_scores",
     "batch_candidate_backprop",
     "supervised_gradients",
@@ -204,6 +209,11 @@ class LstmCache:
     gates: np.ndarray  # (..., L, 4d) gate activations in GATES order; tanh for cell, sigmoid otherwise
     c: np.ndarray  # (..., L, d) cell state after each step
     h: np.ndarray  # (..., L, d) hidden state after each step
+
+
+# What _encode_pairs returns: the (m, d) per-row sequence states, the forward
+# cache over the distinct (relation, bucket) pairs, and each row's pair index.
+PairEncoding = tuple[np.ndarray, LstmCache, np.ndarray]
 
 
 def _sigmoid(x: np.ndarray) -> np.ndarray:
@@ -407,8 +417,27 @@ def _ttranse_distances(
     return f, e, np.sqrt(sq)
 
 
+def pair_encoding(params: Params, vocab: Vocabulary, quads: np.ndarray) -> PairEncoding | None:
+    """The encoding of quads' (relation, bucket) pairs that the batch scorers accept.
+
+    It is _encode_pairs' result for the recurrent backbone, whose ids are
+    checked as in batch_candidate_scores, and None for the translation
+    backbone, which has no encoder.  It stays valid for the same quads until
+    params change.
+    """
+    if params.backbone == "ttranse":
+        return None
+    quads = np.asarray(quads, dtype=np.int64).reshape(-1, 4)
+    _check_ids(vocab, quads)
+    return _encode_pairs(params, vocab, quads)
+
+
 def batch_candidate_scores(
-    params: Params, vocab: Vocabulary, quads: np.ndarray, slot: str
+    params: Params,
+    vocab: Vocabulary,
+    quads: np.ndarray,
+    slot: str,
+    encoding: PairEncoding | None = None,
 ) -> np.ndarray:
     """Scores of every entity as a candidate for each query, shape (m, |E|).
 
@@ -418,6 +447,8 @@ def batch_candidate_scores(
     so the only float32 rounding is the fixed part and the final cast;
     distances below about 1e-6 of the norms score exactly zero.  An entity,
     relation or bucket id outside the vocabulary raises ValueError.
+    encoding, pair_encoding(params, vocab, quads), is used in place of
+    encoding the pairs again; without it they are encoded here.
     """
     quads = np.asarray(quads, dtype=np.int64).reshape(-1, 4)
     _check_ids(vocab, quads)
@@ -425,15 +456,13 @@ def batch_candidate_scores(
     if params.backbone == "ttranse":
         _, _, dist = _ttranse_distances(params, quads, slot)
         return (-dist).astype(ent.dtype)
-    pseqs, _, _ = _encode_pairs(params, vocab, quads)
+    pseqs, _, _ = encoding if encoding is not None else _encode_pairs(params, vocab, quads)
     fixed_idx = quads[:, 0] if slot == "object" else quads[:, 2]
     w = ent[fixed_idx] * pseqs
     return w @ ent.T
 
 
-def _encode_pairs(
-    params: TADistMultParams, vocab: Vocabulary, quads: np.ndarray
-) -> tuple[np.ndarray, LstmCache, np.ndarray]:
+def _encode_pairs(params: TADistMultParams, vocab: Vocabulary, quads: np.ndarray) -> PairEncoding:
     """Sequence states of each row's (relation, bucket) pair.
 
     The LSTM runs once, on the batch of distinct pairs, taken in ascending
@@ -472,11 +501,13 @@ def batch_candidate_backprop(
     slot: str,
     dscores: np.ndarray,
     grads: GradAccum,
+    encoding: PairEncoding | None = None,
 ) -> None:
     """Chain dL/dscores (m, |E|) into parameter gradients.
 
     The scores are the ones produced by batch_candidate_scores for the same
-    (quads, slot); gradients accumulate into grads.  Ids are checked as there.
+    (quads, slot); gradients accumulate into grads.  Ids and encoding are
+    treated as there.
     """
     quads = np.asarray(quads, dtype=np.int64).reshape(-1, 4)
     _check_ids(vocab, quads)
@@ -502,7 +533,7 @@ def batch_candidate_backprop(
         return
 
     # recurrent backbone: score[q, j] = sum_k ent[fixed_q] * ent[j] * pseq_q
-    pseqs, cache, inverse = _encode_pairs(params, vocab, quads)
+    pseqs, cache, inverse = encoding if encoding is not None else _encode_pairs(params, vocab, quads)
     fixed_idx = quads[:, 0] if slot == "object" else quads[:, 2]
     fixed_emb = ent[fixed_idx]
     w = fixed_emb * pseqs  # (m, d)

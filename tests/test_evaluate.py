@@ -109,6 +109,62 @@ class TestRankOf:
             rank_of(np.zeros((2, 3)), np.array([0, 1]), keep=np.eye(2, 3, dtype=bool)[::-1])
 
 
+def _rank_of_reference(scores, gt_index, tie_policy="pessimistic", keep=None):
+    """rank_of as it was before its counting moved to count_nonzero, input checks left out."""
+    scores = np.asarray(scores)
+    block = np.atleast_2d(scores)
+    gt = np.asarray(gt_index, dtype=np.int64).reshape(-1)
+    rows = np.arange(len(block))
+    gt_scores = block[rows, gt][:, None]
+    better = block > gt_scores
+    tied = block == gt_scores
+    if keep is not None:
+        keep = np.asarray(keep, dtype=bool).reshape(block.shape)
+        better &= keep
+        tied &= keep
+    ties = tied.sum(axis=1) - 1
+    if tie_policy == "optimistic":
+        ties = 0
+    elif tie_policy == "mean":
+        ties = ties // 2
+    ranks = 1 + better.sum(axis=1) + ties
+    return int(ranks[0]) if scores.ndim == 1 else ranks
+
+
+class TestRankOfAgainstReference:
+    """rank_of against the earlier implementation on tie-heavy blocks with non-finite scores."""
+
+    @pytest.mark.parametrize("seed", range(40))
+    def test_random_blocks(self, seed):
+        rng = np.random.default_rng(seed)
+        m, n = int(rng.integers(1, 30)), int(rng.integers(1, 60))
+        # few distinct values, so ties are everywhere
+        block = rng.integers(-3, 4, size=(m, n)).astype(np.float64)
+        special = rng.random((m, n)) < 0.15
+        block[special] = rng.choice([np.nan, np.inf, -np.inf], size=int(special.sum()))
+        gt = rng.integers(0, n, size=m)
+        keep = rng.random((m, n)) < 0.7
+        keep[np.arange(m), gt] = True
+        for policy in ("pessimistic", "optimistic", "mean"):
+            for mask in (None, keep):
+                got = rank_of(block, gt, policy, mask)
+                want = _rank_of_reference(block, gt, policy, mask)
+                assert got.shape == (m,)
+                np.testing.assert_array_equal(got, want)
+                for i in range(min(m, 4)):
+                    one = rank_of(block[i], int(gt[i]), policy, None if mask is None else mask[i])
+                    assert type(one) is int
+                    assert one == _rank_of_reference(block[i], int(gt[i]), policy, None if mask is None else mask[i])
+
+    def test_float32_and_integer_scores(self):
+        rng = np.random.default_rng(3)
+        for dtype in (np.float32, np.int64):
+            block = rng.integers(0, 3, size=(12, 9)).astype(dtype)
+            gt = rng.integers(0, 9, size=12)
+            for policy in ("pessimistic", "optimistic", "mean"):
+                np.testing.assert_array_equal(rank_of(block, gt, policy), _rank_of_reference(block, gt, policy))
+
+
 class TestMetrics:
     def test_worked_example(self):
         mr, mrr, hits = metrics_from_ranks(np.array([1, 4]))
@@ -191,6 +247,27 @@ class TestEvaluate:
                 assert fast.mrr == pytest.approx(slow.mrr, abs=1e-9)
                 for k in (1, 3, 10):
                     assert fast.hits[k] == pytest.approx(slow.hits[k], abs=1e-9)
+
+    @pytest.mark.parametrize("mode", ["raw", "filtered"])
+    def test_one_encoder_forward_per_block(self, small_synth, mode, monkeypatch):
+        evaluate_module = importlib.import_module("tkgd.evaluate")
+        models_module = importlib.import_module("tkgd.models")
+        n_rows, n_e = len(small_synth.test), small_synth.vocab.n_entities
+        block_rows = -(-n_rows // 3)
+        assert -(-n_rows // block_rows) == 3
+        params = init_params("tadistmult", 4, n_e, 3, 5, seed=0)
+        whole = evaluate(params, small_synth, split="test", mode=mode).as_dict()
+        monkeypatch.setattr(evaluate_module, "_BLOCK_SCORES", block_rows * n_e)
+        forwards = []
+        original = models_module.lstm_forward
+
+        def counted(tokens, params):
+            forwards.append(len(tokens))
+            return original(tokens, params)
+
+        monkeypatch.setattr(models_module, "lstm_forward", counted)
+        assert evaluate(params, small_synth, split="test", mode=mode).as_dict() == whole
+        assert len(forwards) == 3  # one per block, shared by both slots
 
     def test_filtered_never_worse_than_raw(self):
         for seed in range(3):

@@ -672,6 +672,17 @@ class TestKnownFactsIndex:
         np.testing.assert_array_equal(known.keep_mask(queries, slot, width), want)
         assert not want.all()  # some known completions were masked
 
+    @pytest.mark.parametrize("seed", range(3))
+    def test_key_arrays_equal_np_unique(self, seed):
+        rng = np.random.default_rng(seed)
+        n_e, n_r, n_b = 9, 4, 5
+        facts = _random_facts(rng, 400, n_e, n_r, n_b)  # about a fifth repeat
+        facts[0] = (n_e - 1, n_r - 1, n_e - 1, n_b - 1)  # so the index bounds are (n_e, n_r, n_b)
+        known = KnownFacts(facts)
+        s, p, o, t = facts.T
+        np.testing.assert_array_equal(known._spto, np.unique(((s * n_r + p) * n_b + t) * n_e + o))
+        np.testing.assert_array_equal(known._post, np.unique(((p * n_e + o) * n_b + t) * n_e + s))
+
     def test_empty_index(self):
         known = KnownFacts(np.empty((0, 4), dtype=np.int64))
         assert len(known) == 0

@@ -15,6 +15,7 @@ from tkgd.models import (
     init_params,
     lstm_backward,
     lstm_forward,
+    pair_encoding,
     score_candidates,
     score_quadruple,
     supervised_gradients,
@@ -418,6 +419,38 @@ class TestCandidateScoring:
         s32 = batch_candidate_scores(params32, vocab, quads, "object")
         s64 = batch_candidate_scores(params64, vocab, quads, "object")
         assert np.max(np.abs(s32.astype(np.float64) - s64)) < 1e-5
+
+
+class TestPairEncodingSharing:
+    """A precomputed pair_encoding must change no bit of the scores or the gradients."""
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_same_bits_on_both_slots(self, rng, dtype):
+        params = init_params("tadistmult", 6, 9, 3, 4, seed=21, dtype=dtype)
+        vocab = _vocab(9, 3, [1900, 1910, 1925, 2001])
+        quads = np.stack([rng.integers(9, size=40), rng.integers(3, size=40),
+                          rng.integers(9, size=40), rng.integers(4, size=40)], axis=1)
+        encoding = pair_encoding(params, vocab, quads)
+        own, shared = GradAccum(params), GradAccum(params)
+        for slot in ("subject", "object"):
+            scores = batch_candidate_scores(params, vocab, quads, slot)
+            assert batch_candidate_scores(params, vocab, quads, slot, encoding).tobytes() == scores.tobytes()
+            dscores = rng.normal(size=scores.shape).astype(dtype)
+            batch_candidate_backprop(params, vocab, quads, slot, dscores, own)
+            batch_candidate_backprop(params, vocab, quads, slot, dscores, shared, encoding)
+        want, got = own.dense_dict(), shared.dense_dict()
+        assert want.keys() == got.keys()
+        for name in want:
+            assert got[name].tobytes() == want[name].tobytes(), name
+
+    def test_translation_backbone_has_no_encoding(self):
+        params = init_params("ttranse", 3, 5, 2, 2, seed=0)
+        assert pair_encoding(params, _vocab(5, 2, [1900, 1910]), np.array([[0, 1, 2, 1]])) is None
+
+    def test_out_of_range_ids_rejected(self):
+        params = init_params("tadistmult", 3, 5, 2, 2, seed=0)
+        with pytest.raises(ValueError, match="bucket id 2 outside"):
+            pair_encoding(params, _vocab(5, 2, [1900, 1910]), np.array([[0, 1, 2, 2]]))
 
 
 class TestTTransEDistances:

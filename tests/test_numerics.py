@@ -8,6 +8,7 @@ from tkgd.numerics import (
     log_softmax_with_temperature,
     scatter_add_rows,
     softmax_with_temperature,
+    sorted_unique,
 )
 
 
@@ -190,6 +191,40 @@ class TestScatterAddRows:
         # a flattened copy would swallow the update silently
         with pytest.raises(ValueError):
             scatter_add_rows(np.zeros((4, 6))[:, ::2], np.array([0]), np.ones((1, 3)))
+
+
+class TestSortedUnique:
+    """sorted_unique must return the very array the values-only np.unique does."""
+
+    EXTREMES = np.array([np.iinfo(np.int64).max, np.iinfo(np.int64).min, 0, -1, np.iinfo(np.int64).max])
+
+    @pytest.mark.parametrize(
+        "values",
+        [
+            np.array([], dtype=np.int64),
+            np.array([42]),
+            np.full(9, -3),
+            np.array([-5, 3, -5, -1, 0, 3, -7]),
+            EXTREMES,
+            np.array([[4, 1], [1, 9], [4, 4]]),  # 2-D input is flattened, as np.unique does
+        ],
+    )
+    def test_fixed_cases(self, values):
+        got, want = sorted_unique(values), np.unique(values)
+        assert got.dtype == want.dtype
+        np.testing.assert_array_equal(got, want)
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_random_arrays(self, seed):
+        rng = np.random.default_rng(seed)
+        high = (4, 100, 2**62)[seed % 3]  # many, some and almost no repeats
+        values = rng.integers(-high, high, size=int(rng.integers(1, 3000)))
+        np.testing.assert_array_equal(sorted_unique(values), np.unique(values))
+
+    def test_input_untouched(self):
+        values = np.array([3, 1, 3, 2])
+        sorted_unique(values)
+        np.testing.assert_array_equal(values, [3, 1, 3, 2])
 
 
 class TestFiniteDiff:
