@@ -26,10 +26,10 @@ import logging
 import os
 import re
 from dataclasses import dataclass, field
-from itertools import chain, compress
+from itertools import chain, compress, repeat
 from operator import itemgetter
 from pathlib import Path
-from typing import NamedTuple
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -829,6 +829,63 @@ def _split_buckets_by_share(
     return set(ordered[: cut1 + 1]), set(ordered[cut1 + 1 : cut2 + 1]), set(ordered[cut2 + 1 :])
 
 
+_RAW_CHUNK = 1024
+
+
+def _pcg64_draws(rng: np.random.Generator) -> tuple[Callable[[int], int], Callable[[], float]]:
+    """Scalar draws read from a PCG64 Generator's raw words: (integers, random).
+
+    integers(n) and random() return what rng.integers(0, n) and rng.random()
+    would return next, bit for bit, as Python int and float, without a
+    Generator call per draw.  The words come from bit_generator.random_raw in
+    chunks of _RAW_CHUNK, so rng itself must not be drawn from afterwards.
+
+    This is NumPy's own arithmetic (distributions.c), which the tests compare
+    against the live Generator:
+    - For n <= 2**32, Lemire's bounded integer on a 32-bit value x: m = x * n,
+      redrawn while m mod 2**32 < (2**32 - n) % n, result m >> 32.  The 32-bit
+      values are the low and then the high half of each word; the half that
+      rng's last 32-bit draw left buffered (state "has_uint32"/"uinteger")
+      comes first.  n == 1 draws nothing.
+    - For n > 2**32, the same on whole words modulo 2**64.
+    - random() is (word >> 11) * 2**-53 and leaves a buffered half alone.
+    The threshold is below n, so it is only computed when m mod 2**32 (or
+    2**64) is below n.
+    """
+    bit_generator = rng.bit_generator
+    state = bit_generator.state
+    half = int(state["uinteger"]) if state["has_uint32"] else -1  # -1: no half buffered
+    chunks = map(bit_generator.random_raw, repeat(_RAW_CHUNK))
+    next_word = chain.from_iterable(map(np.ndarray.tolist, chunks)).__next__
+
+    def integers(n: int) -> int:
+        nonlocal half
+        if n == 1:
+            return 0
+        if n > 0x1_0000_0000:
+            while True:
+                m = next_word() * n
+                low = m & 0xFFFF_FFFF_FFFF_FFFF
+                if low >= n or low >= (0x1_0000_0000_0000_0000 - n) % n:
+                    return m >> 64
+        while True:
+            if half < 0:
+                word = next_word()
+                half = word >> 32
+                m = (word & 0xFFFF_FFFF) * n
+            else:
+                m = half * n
+                half = -1
+            low = m & 0xFFFF_FFFF
+            if low >= n or low >= (0x1_0000_0000 - n) % n:
+                return m >> 32
+
+    def random() -> float:
+        return (next_word() >> 11) * 2.0**-53
+
+    return integers, random
+
+
 def generate_synthetic(
     n_entities: int,
     n_relations: int,
@@ -847,6 +904,14 @@ def generate_synthetic(
     a pattern outside their expressive reach.  Facts get uniform time buckets
     and the splits are 80/10/10 along bucket order, making the test split
     extrapolative.  Years are 1900 + bucket index.
+
+    Nothing stores a synthetic dataset between commands: each one regenerates
+    it from the seed.  After the vectorized offsets draw, the per-fact draws
+    come from _pcg64_draws, which reads the seed's PCG64 words itself and
+    reproduces Generator.integers and Generator.random bit for bit, so a
+    seed gives the same dataset as one Generator call per draw did.  The
+    tests compare it with the live Generator, so a NumPy change to those
+    methods fails them.
     """
     if min(n_entities, n_relations, n_buckets, n_facts) < 1:
         raise DataError("entity, relation, bucket and fact counts must all be positive")
@@ -866,6 +931,8 @@ def generate_synthetic(
         offsets={f"r{j}": int(offsets[j]) for j in range(n_relations)},
     )
 
+    integers, random = _pcg64_draws(rng)
+    shifts = offsets.tolist()
     seen: set[tuple[int, int, int, int]] = set()
     facts: list[tuple[int, int, int, int]] = []
     attempts = 0
@@ -879,15 +946,15 @@ def generate_synthetic(
                 "near 1 only patterned facts are drawn, a much smaller pool than "
                 "the full cross product)"
             )
-        p = int(rng.integers(0, n_relations))
-        t = int(rng.integers(0, n_buckets))
-        if rng.random() < pattern_strength:
-            a = int(offsets[p])
-            s = int(rng.integers(0, n_entities - a))
+        p = integers(n_relations)
+        t = integers(n_buckets)
+        if random() < pattern_strength:
+            a = shifts[p]
+            s = integers(n_entities - a)
             o = s + a
         else:
-            s = int(rng.integers(0, n_entities))
-            o = int(rng.integers(0, n_entities))
+            s = integers(n_entities)
+            o = integers(n_entities)
         quad = (s, p, o, t)
         if quad in seen:
             continue

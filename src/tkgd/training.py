@@ -36,7 +36,9 @@ def train_supervised(
     batch.  The validation split is scored every eval_every epochs and on
     the last one; there is no evaluation before training, so the first
     evaluation always becomes the best so far.  The returned parameters are
-    the snapshot with the best validation reciprocal-rank mean.
+    the snapshot with the best validation reciprocal-rank mean.  With an
+    empty validation split nothing is evaluated, no record carries
+    valid_mrr, and the parameters after the last epoch are returned.
     """
     if epochs < 0:
         raise ValueError("epochs must be non-negative")
@@ -51,6 +53,7 @@ def train_supervised(
     n = train.shape[0]
     if n == 0:
         raise ValueError("training split is empty")
+    has_valid = len(dataset.valid) > 0
     best_mrr = -1.0
     best: Params | None = None
     for epoch in range(epochs):
@@ -71,7 +74,7 @@ def train_supervised(
             "train_loss": float(epoch_loss / n),
             "llm_calls": 0,
         }
-        if (epoch + 1) % eval_every == 0 or epoch == epochs - 1:
+        if has_valid and ((epoch + 1) % eval_every == 0 or epoch == epochs - 1):
             report = evaluate(params, dataset, split="valid", mode=eval_mode, tie_policy=tie_policy)
             record["valid_mrr"] = report.mrr
             if report.mrr > best_mrr:

@@ -193,6 +193,26 @@ class TestPipeline:
         assert digest(first) != digest(second)
 
 
+class TestEmptyValidationSplit:
+    def test_train_teacher_and_distill_skip_evaluation(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        cfg = _write(tmp_path, _with(BASE_CONFIG, n_buckets="2"))  # two buckets leave valid empty
+        assert main(["prepare", "--config", cfg]) == 0
+        assert re.search(r"train/valid/test \d+/0/\d+", capsys.readouterr().out)
+
+        assert main(["train-teacher", "--config", cfg]) == 0
+        out = capsys.readouterr().out
+        assert "teacher checkpoint written" in out
+        assert "last validation MRR" not in out
+        assert (tmp_path / "out" / "teacher.ckpt").exists()
+        log = [json.loads(line) for line in (tmp_path / "out" / "train_teacher_log.jsonl").read_text().splitlines()]
+        assert len(log) == 4
+        assert not any("valid_mrr" in rec for rec in log)
+
+        assert main(["distill", "--config", cfg]) == 0
+        assert (tmp_path / "out" / "student.ckpt").exists()
+
+
 class TestDistillVariants:
     def test_bkd_never_calls_llm(self, tmp_path, monkeypatch):
         monkeypatch.chdir(tmp_path)

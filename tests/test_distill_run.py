@@ -14,6 +14,7 @@ from tkgd.distill import (
     minmax_normalize,
 )
 from tkgd.evaluate import evaluate
+from tkgd.graph import generate_synthetic
 from tkgd.llm import EchoTeacher, PlantedRuleTeacher, ScoreCache, TeacherHandle
 from tkgd.models import init_params
 
@@ -235,6 +236,21 @@ class TestTrainingBehavior:
         logged = [rec["valid_mrr"] for rec in log if "valid_mrr" in rec]
         got = evaluate(best.params, small_synth, split="valid").mrr
         assert got == pytest.approx(max(logged), abs=1e-12)
+
+    def test_empty_valid_split_returns_final_state(self):
+        ds = generate_synthetic(12, 3, 2, 60, 0.9, seed=7)  # two buckets leave valid empty
+        assert len(ds.valid) == 0
+        v = ds.vocab
+        teacher = init_params("ttranse", 8, v.n_entities, v.n_relations, v.n_buckets, seed=0)
+        student = make_student("ttranse", 4, v.n_entities, v.n_relations, v.n_buckets, seed=1, method="bkd")
+        start = student.copy()
+        cfg = DistillConfig(method="bkd", phase1_epochs=3, phase2_epochs=0)
+        best, log = distill_run(teacher, student, ds, None, cfg, np.random.default_rng(4), eval_every=1)
+        assert len(log) == 3
+        assert not any("valid_mrr" in rec for rec in log)
+        assert best is not student
+        assert _params_equal(best.params, student.params)
+        assert not _params_equal(best.params, start.params)
 
     def test_fitnet_steps_regressor(self, small_synth):
         teacher = _teacher(small_synth)

@@ -3,7 +3,7 @@ import numpy as np
 import pytest
 
 from tkgd.evaluate import evaluate
-from tkgd.graph import Vocabulary, sample_negatives
+from tkgd.graph import Vocabulary, generate_synthetic, sample_negatives
 from tkgd.models import init_params
 from tkgd.training import train_supervised
 
@@ -98,6 +98,20 @@ class TestTrainSupervised:
         logged = [rec["valid_mrr"] for rec in log if "valid_mrr" in rec]
         got = evaluate(best, small_synth, split="valid").mrr
         assert got == pytest.approx(max(logged), abs=1e-12)
+
+    def test_empty_valid_split_returns_final_params(self):
+        ds = generate_synthetic(12, 3, 2, 60, 0.9, seed=7)  # two buckets leave valid empty
+        assert len(ds.valid) == 0
+        v = ds.vocab
+        params = init_params("ttranse", 4, v.n_entities, v.n_relations, v.n_buckets, seed=0)
+        out, log = train_supervised(
+            params, ds, np.random.default_rng(0), epochs=3, eval_every=1, batch_size=16
+        )
+        assert len(log) == 3
+        assert not any("valid_mrr" in rec for rec in log)
+        assert out is not params
+        assert _params_equal(out, params)
+        assert not _params_equal(out, init_params("ttranse", 4, v.n_entities, v.n_relations, v.n_buckets, seed=0))
 
     def test_rejects_bad_arguments(self, small_synth):
         params = init_params("ttranse", 4, 12, 3, 5, seed=0)
