@@ -44,7 +44,6 @@ _EXPORTS = {
         "kd_soft_loss",
         "rkd_loss",
         "supervised_loss",
-        "total_loss",
     ),
 }
 _SOURCE = {name: module for module, names in _EXPORTS.items() for name in names}

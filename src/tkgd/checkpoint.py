@@ -23,7 +23,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .graph import Vocabulary
+from .graph import Vocabulary, _is_int
 from .models import BACKBONES, GATES, Params, TADistMultParams, TTransEParams
 from .numerics import ParamTensor
 
@@ -50,6 +50,13 @@ def _file_tensors(params: Params) -> list[tuple[str, np.ndarray]]:
 
 class CheckpointError(Exception):
     """A checkpoint file is unreadable, corrupt, or incompatible."""
+
+
+def _is_tensor_entry(entry) -> bool:
+    """True for a header tensor entry [name, [sizes]] with every size an integer >= 0."""
+    if not (isinstance(entry, list) and len(entry) == 2 and isinstance(entry[0], str) and isinstance(entry[1], list)):
+        return False
+    return all(_is_int(size) and size >= 0 for size in entry[1])
 
 
 def save_checkpoint(
@@ -99,11 +106,14 @@ def load_checkpoint(
 ) -> tuple[Params, dict]:
     """Read a checkpoint back into parameters; returns (params, header).
 
-    The content digest and the header's declared shapes are verified against
-    the actual bytes before anything is built.  expect_backbone and
-    expect_dim reject incompatible checkpoints outright; a dataset_digest
-    that disagrees with the header only warns, since evaluating on a
-    different split of the same vocabulary is legitimate.
+    The header's integer fields (dim, n_entities, n_relations, n_buckets)
+    and its [name, [sizes]] tensor list are type-checked, and the content
+    digest and declared shapes are verified against the actual bytes, before
+    anything is built; each failure is a CheckpointError naming the file and
+    the field.  expect_backbone and expect_dim reject incompatible
+    checkpoints outright; a dataset_digest that disagrees with the header
+    only warns, since evaluating on a different split of the same vocabulary
+    is legitimate.
     Accumulators come back zeroed: a loaded model starts a fresh
     optimizer state.
     """
@@ -124,6 +134,8 @@ def load_checkpoint(
         header = json.loads(header_bytes.decode("utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise CheckpointError(f"{path}: unreadable header: {exc}") from None
+    if not isinstance(header, dict):
+        raise CheckpointError(f"{path}: unreadable header: not a JSON object")
     version = header.get("format_version")
     if version != FORMAT_VERSION:
         raise CheckpointError(f"{path}: unsupported format version {version!r} (this build reads {FORMAT_VERSION})")
@@ -131,7 +143,12 @@ def load_checkpoint(
     if backbone not in BACKBONES:
         raise CheckpointError(f"{path}: unknown backbone {backbone!r}")
 
-    tensors = header.get("tensors", [])
+    for key in ("dim", "n_entities", "n_relations", "n_buckets"):
+        if not _is_int(header.get(key)):
+            raise CheckpointError(f"{path}: header field {key!r} must be an integer, got {header.get(key)!r}")
+    tensors = header.get("tensors")
+    if not (isinstance(tensors, list) and all(map(_is_tensor_entry, tensors))):
+        raise CheckpointError(f"{path}: header field 'tensors' must list [name, [sizes >= 0]] pairs")
     counts = [int(np.prod(shape, dtype=np.int64)) for _name, shape in tensors]
     payload_len = 4 * int(sum(counts))
     expected_total = 8 + header_len + payload_len + _DIGEST_BYTES
@@ -172,9 +189,7 @@ def load_checkpoint(
             raise CheckpointError(f"{path}: unexpected tensor list {names} for backbone {backbone!r}")
         by_name = dict(zip(names, arrays))
         lstm = [np.concatenate([by_name[f"{p}_{g}"] for g in GATES]) for p in _LSTM_TENSORS]
-        params = TADistMultParams(
-            *(ParamTensor(a) for a in arrays[:2] + lstm), n_relations=int(header.get("n_relations", 0))
-        )
+        params = TADistMultParams(*(ParamTensor(a) for a in arrays[:2] + lstm), n_relations=header["n_relations"])
     return params, header
 
 

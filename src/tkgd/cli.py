@@ -291,10 +291,12 @@ def _cmd_evaluate(cfg, outdir: Path, args) -> int:
 
 
 def _read_query_file(path: Path, vocab):
-    """(quads, slots) of a TSV query list."""
+    """(quads, slots) of a TSV query list, its years mapped to buckets in one call."""
+    import numpy as np
+
     from .graph import DataError, parse_time_token
 
-    quads, slots = [], []
+    ids, years, slots = [], [], []
     with path.open("r", encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
             line = line.rstrip("\n")
@@ -309,8 +311,10 @@ def _read_query_file(path: Path, vocab):
             year = parse_time_token(year_token)
             if year is None:
                 raise DataError(f"{path}:{lineno}: query year must be concrete, got {year_token!r}")
-            quads.append((vocab.entity_id(s), vocab.relation_id(p), vocab.entity_id(o), vocab.bucket_for_year(year)))
+            ids.append((vocab.entity_id(s), vocab.relation_id(p), vocab.entity_id(o)))
+            years.append(year)
             slots.append(slot)
+    quads = np.column_stack([np.array(ids, dtype=np.int64).reshape(-1, 3), vocab.buckets_for_years(years)])
     return quads, slots
 
 

@@ -10,6 +10,12 @@ first phase-2 epoch, and applied as one array step per batch and slot.
 Baseline methods swap the objective: pure soft-target transfer, an embedding
 hint with a learned regressor, or relational structure matching on pairwise
 distances and triplet angles.
+
+Each per-query loss has one implementation, a public function that takes
+one (n,) score vector or an (m, n) block of independent rows.  The training
+loop passes it whole (batch, |E|) or (batch, k) blocks, so the functions the
+gradient checks call per vector are the ones that train the student, and a
+block's row i equals the vector result for that row bit for bit.
 """
 from __future__ import annotations
 
@@ -47,7 +53,6 @@ __all__ = [
     "bkd_loss",
     "huber_alignment_loss",
     "supervised_loss",
-    "total_loss",
     "fitnet_hint_loss",
     "rkd_loss",
     "minmax_normalize",
@@ -137,92 +142,78 @@ def make_student(
 # ---------------------------------------------------------------------------
 
 
-def _check_pair(teacher_scores: np.ndarray, student_scores: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    t = np.asarray(teacher_scores)
-    s = np.asarray(student_scores)
-    if t.shape != s.shape or t.ndim != 1:
-        raise ValueError(f"score vectors must be 1-D and aligned, got {t.shape} and {s.shape}")
-    if t.size == 0:
-        raise ValueError("score vectors are empty")
-    return t, s
+def _as_rows(*scores, gt_index=None) -> tuple[bool, list[np.ndarray]]:
+    """(vector, rows): aligned score inputs as (m, n) blocks, then the truth indices as (m,).
 
-
-def _soft_kd_rows(teacher: np.ndarray, student: np.ndarray, tau: float) -> tuple[np.ndarray, np.ndarray]:
-    """Tempered soft-target transfer, rows independent.
-
-    loss = tau^2 * KL(softmax(teacher/tau) || softmax(student/tau)), gradient
-    with respect to the student scores is tau * (q - p).  The tau^2 factor
-    keeps gradient magnitudes comparable across temperatures.
+    Every input is one (n,) vector or one (m, n) block of independent rows,
+    all of one shape with n > 0.  gt_index, when given, holds one integer in
+    [0, n) per row (a scalar for a vector).  vector is True for (n,) inputs,
+    which _from_rows turns back into a float loss and an (n,) array.
     """
-    logp = log_softmax_with_temperature(teacher, tau)
-    logq = log_softmax_with_temperature(student, tau)
-    p = np.exp(logp)
-    q = np.exp(logq)
-    loss = (tau * tau) * np.sum(p * (logp - logq), axis=-1)
-    grad = tau * (q - p)
-    return loss, grad
+    arrays = [np.asarray(s) for s in scores]
+    shape = arrays[0].shape
+    if len(shape) not in (1, 2) or any(a.shape != shape for a in arrays):
+        raise ValueError(f"scores must be aligned (n,) vectors or (m, n) blocks, got {[a.shape for a in arrays]}")
+    if shape[-1] == 0:
+        raise ValueError("score rows are empty")
+    rows = [a.reshape(-1, shape[-1]) for a in arrays]
+    if gt_index is not None:
+        gt = np.asarray(gt_index)
+        if gt.shape != shape[:-1] or not np.issubdtype(gt.dtype, np.integer) or np.any((gt < 0) | (gt >= shape[-1])):
+            raise ValueError(f"gt_index must hold one index in [0, {shape[-1]}) per score row")
+        rows.append(gt.reshape(-1))
+    return len(shape) == 1, rows
 
 
-def _hard_ce_rows(student: np.ndarray, gt: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Cross-entropy against the one-hot truth at temperature 1, per row of (m, n) scores."""
-    logq = log_softmax_with_temperature(student, 1.0)
-    rows = np.arange(student.shape[0])
-    loss = -logq[rows, gt]
-    grad = np.exp(logq)
-    grad[rows, gt] -= 1.0
-    return loss, grad
-
-
-def _mse_softmax_rows(student: np.ndarray, gt: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Mean squared error between softmax(student) and the one-hot truth, per row of (m, n) scores."""
-    q = softmax_with_temperature(student, 1.0)
-    resid = q.copy()
-    rows = np.arange(student.shape[0])
-    resid[rows, gt] -= 1.0
-    n = student.shape[1]
-    loss = np.mean(resid * resid, axis=1)
-    g = (2.0 / n) * resid
-    grad = q * (g - np.sum(g * q, axis=1, keepdims=True))
-    return loss, grad
+def _from_rows(vector: bool, per_row: np.ndarray, block: np.ndarray):
+    """A vector's (float, (n,) array) from its one-row block, or the block's per-row results."""
+    return (float(per_row[0]), block[0]) if vector else (per_row, block)
 
 
 def kd_soft_loss(
-    teacher_scores: np.ndarray,
-    student_scores: np.ndarray,
-    gt_index: int,
-    tau: float = 7.0,
-    alpha_kd: float = 0.9,
-) -> tuple[float, np.ndarray]:
+    teacher_scores: np.ndarray, student_scores: np.ndarray, gt_index, tau: float = 7.0, alpha_kd: float = 0.9
+):
     """Blend of tempered teacher transfer and hard cross-entropy.
 
-    alpha_kd weights the tau-scaled KL term; 1 - alpha_kd weights plain
-    cross-entropy against the ground truth.  Zero-weight branches are skipped
-    outright, so alpha_kd = 1 reproduces pure soft transfer bit for bit.
-    Returns the loss and its gradient with respect to student_scores.
+    alpha_kd weights the soft term tau^2 * KL(softmax(teacher/tau) ||
+    softmax(student/tau)), whose student gradient is tau * (q - p); the tau^2
+    factor keeps gradient magnitudes comparable across temperatures.
+    1 - alpha_kd weights plain cross-entropy against the truth at gt_index.
+    The blend runs in the scores' dtype, and zero-weight terms are skipped
+    outright, so alpha_kd = 1 is pure soft transfer bit for bit.  For (n,)
+    scores returns the loss and its (n,) gradient with respect to
+    student_scores; for (m, n) blocks, with one truth index per row, the
+    (m,) losses and the (m, n) gradient.
     """
-    t, s = _check_pair(teacher_scores, student_scores)
     if not (0.0 <= alpha_kd <= 1.0):
         raise ValueError(f"alpha_kd must lie in [0, 1], got {alpha_kd}")
-    if not (0 <= gt_index < s.size):
-        raise ValueError("gt_index out of range")
-    loss = 0.0
-    grad = np.zeros_like(s, dtype=s.dtype if np.issubdtype(s.dtype, np.floating) else np.float64)
+    vector, (t, s, gt) = _as_rows(teacher_scores, student_scores, gt_index=gt_index)
     if alpha_kd > 0.0:
-        l_soft, g_soft = _soft_kd_rows(t, s, tau)
-        loss += alpha_kd * float(l_soft)
-        grad += alpha_kd * g_soft
-    if alpha_kd < 1.0:
-        l_hard, g_hard = _hard_ce_rows(s[None], [gt_index])
-        loss += (1.0 - alpha_kd) * float(l_hard[0])
-        grad += (1.0 - alpha_kd) * g_hard[0]
-    return loss, grad
+        logp = log_softmax_with_temperature(t, tau)
+        logq = log_softmax_with_temperature(s, tau)
+        p = np.exp(logp)
+        l_soft = (tau * tau) * np.sum(p * (logp - logq), axis=-1)
+        g_soft = tau * (np.exp(logq) - p)
+        if alpha_kd == 1.0:
+            return _from_rows(vector, l_soft, g_soft)
+    rows = np.arange(len(s))
+    logq = log_softmax_with_temperature(s, 1.0)
+    l_hard = -logq[rows, gt]
+    g_hard = np.exp(logq)
+    g_hard[rows, gt] -= 1.0
+    if alpha_kd == 0.0:
+        return _from_rows(vector, l_hard, g_hard)
+    return _from_rows(
+        vector,
+        alpha_kd * l_soft + (1.0 - alpha_kd) * l_hard,
+        alpha_kd * g_soft + (1.0 - alpha_kd) * g_hard,
+    )
 
 
-def bkd_loss(teacher_scores: np.ndarray, student_scores: np.ndarray, tau: float = 7.0) -> tuple[float, np.ndarray]:
-    """Pure tempered soft-target transfer; kd_soft_loss with alpha_kd = 1."""
-    t, s = _check_pair(teacher_scores, student_scores)
-    loss, grad = _soft_kd_rows(t, s, tau)
-    return float(loss), grad
+def bkd_loss(teacher_scores: np.ndarray, student_scores: np.ndarray, tau: float = 7.0):
+    """Pure tempered soft-target transfer: kd_soft_loss at alpha_kd = 1, where no truth index is read."""
+    gt = np.zeros(np.shape(student_scores)[:-1], dtype=np.int64)
+    return kd_soft_loss(teacher_scores, student_scores, gt, tau, 1.0)
 
 
 def _huber_value(resid: np.ndarray, delta: float) -> np.ndarray:
@@ -230,80 +221,57 @@ def _huber_value(resid: np.ndarray, delta: float) -> np.ndarray:
     return np.where(a <= delta, 0.5 * resid * resid, delta * a - 0.5 * delta * delta)
 
 
-def _huber_rows(llm: np.ndarray, student: np.ndarray, delta: float) -> tuple[np.ndarray, np.ndarray]:
-    """Mean Huber penalty of llm - student along the last axis, and its student gradient."""
-    resid = llm - student
-    loss = np.mean(_huber_value(resid, delta), axis=-1)
-    grad = -np.clip(resid, -delta, delta) / student.shape[-1]
-    return loss, grad
-
-
-def huber_alignment_loss(
-    llm_scores: np.ndarray, student_scores: np.ndarray, delta: float = 1.0
-) -> tuple[float, np.ndarray]:
-    """Mean Huber penalty between aligned score vectors.
+def huber_alignment_loss(llm_scores: np.ndarray, student_scores: np.ndarray, delta: float = 1.0):
+    """Mean Huber penalty between aligned score vectors, or per row of aligned blocks.
 
     The residual is llm - student per candidate; inside |r| <= delta the
     penalty is quadratic, outside it grows linearly, so each element's
     gradient is clipped at delta in magnitude.  Callers align and normalize
-    the two vectors first (see minmax_normalize); this function treats its
-    inputs as given.  Returns loss and gradient with respect to
-    student_scores.
+    the two inputs first (see minmax_normalize); this function treats them
+    as given.  Returns the loss (a float, or one per row) and its gradient
+    with respect to student_scores.
     """
-    t, s = _check_pair(llm_scores, student_scores)
     if not (delta > 0):
         raise ValueError(f"delta must be positive, got {delta}")
-    loss, grad = _huber_rows(t, s, delta)
-    return float(loss), grad
+    vector, (llm, student) = _as_rows(llm_scores, student_scores)
+    resid = llm - student
+    loss = np.mean(_huber_value(resid, delta), axis=-1)
+    return _from_rows(vector, loss, -np.clip(resid, -delta, delta) / student.shape[-1])
 
 
-def supervised_loss(student_scores: np.ndarray, gt_index: int) -> tuple[float, np.ndarray]:
+def supervised_loss(student_scores: np.ndarray, gt_index):
     """Mean squared error between softmax(student) and the one-hot truth.
 
     With two candidates scored identically and truth at index 0 the loss is
-    ((0.5 - 1)^2 + (0.5 - 0)^2) / 2 = 0.25.
+    ((0.5 - 1)^2 + (0.5 - 0)^2) / 2 = 0.25.  (m, n) blocks take one truth
+    index per row and give one loss per row.
     """
-    s = np.asarray(student_scores)
-    if s.ndim != 1 or s.size == 0:
-        raise ValueError("student_scores must be a non-empty 1-D vector")
-    if not (0 <= gt_index < s.size):
-        raise ValueError("gt_index out of range")
-    loss, grad = _mse_softmax_rows(s[None], [gt_index])
-    return float(loss[0]), grad[0]
+    vector, (s, gt) = _as_rows(student_scores, gt_index=gt_index)
+    q = softmax_with_temperature(s, 1.0)
+    resid = q.copy()
+    rows = np.arange(len(s))
+    resid[rows, gt] -= 1.0
+    loss = np.mean(resid * resid, axis=1)
+    g = (2.0 / s.shape[1]) * resid
+    return _from_rows(vector, loss, q * (g - np.sum(g * q, axis=1, keepdims=True)))
 
 
-def total_loss(l1: float, l2: float, l3: float, cfg: DistillConfig) -> float:
-    """Weighted sum l1 + lambda_llm * l2 + beta * l3."""
-    out = float(l1) + cfg.lambda_llm * float(l2) + cfg.beta * float(l3)
-    if not np.isfinite(out):
-        raise ValueError("total loss is non-finite")
-    return out
+def minmax_normalize(scores: np.ndarray):
+    """Map scores to [0, 1] by min and max; returns (normalized, slope) in float64.
 
-
-def _minmax_rows(scores: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """minmax_normalize along the last axis: (normalized rows, slope per row) in float64."""
-    s = np.asarray(scores, dtype=np.float64)
+    slope is d(normalized)/d(score) with the extrema treated as constants,
+    which is what the alignment gradient chain uses.  A constant vector maps
+    to all 0.5 with slope 0.  An (m, n) block is normalized row by row, with
+    one slope per row.
+    """
+    vector, (s,) = _as_rows(np.asarray(scores, dtype=np.float64))
     lo = s.min(axis=-1, keepdims=True)
     span = s.max(axis=-1, keepdims=True) - lo
     flat = span == 0.0
     span = np.where(flat, 1.0, span)
     normed = np.where(flat, 0.5, (s - lo) / span)
-    slope = np.where(flat, 0.0, 1.0 / span)[..., 0]
-    return normed, slope
-
-
-def minmax_normalize(scores: np.ndarray) -> tuple[np.ndarray, float]:
-    """Map scores to [0, 1] by min and max; returns (normalized, slope).
-
-    slope is d(normalized)/d(score) with the extrema treated as constants,
-    which is what the alignment gradient chain uses.  A constant vector maps
-    to all 0.5 with slope 0.
-    """
-    s = np.asarray(scores, dtype=np.float64)
-    if s.ndim != 1 or s.size == 0:
-        raise ValueError("scores must be a non-empty 1-D vector")
-    normed, slope = _minmax_rows(s)
-    return normed, float(slope)
+    slope = np.where(flat, 0.0, 1.0 / span)[:, 0]
+    return (normed[0], float(slope[0])) if vector else (normed, slope)
 
 
 def fitnet_hint_loss(
@@ -418,16 +386,16 @@ def _align_rows(
 
     Row i's student scores at its shortlist top[i] are min-max normalized and
     pulled toward the normalized language-model scores llm_norm[i] by the
-    mean Huber penalty.  lam times the gradient, chained through each row's
-    normalization slope, is added into d_scores in place; rows that are not
-    usable are skipped.  Returns the lam-weighted loss of each usable row, in
-    row order.  The arithmetic and its float32 casts are those of
-    minmax_normalize and huber_alignment_loss applied row by row.
+    mean Huber penalty: one minmax_normalize and one huber_alignment_loss
+    call over the usable rows' (rows, k) block.  lam times the gradient,
+    chained through each row's normalization slope and cast to d_scores'
+    dtype, is added into d_scores in place; rows that are not usable are
+    skipped.  Returns the lam-weighted loss of each usable row, in row order.
     """
     rows = np.flatnonzero(usable)
     top = top[rows]
-    stu_norm, slope = _minmax_rows(student_scores[rows[:, None], top])
-    loss, grad = _huber_rows(llm_norm[rows], stu_norm, delta)
+    stu_norm, slope = minmax_normalize(student_scores[rows[:, None], top])
+    loss, grad = huber_alignment_loss(llm_norm[rows], stu_norm, delta)
     coef = (lam * slope)[:, None].astype(d_scores.dtype)
     d_scores[rows[:, None], top] += coef * grad.astype(d_scores.dtype)
     return lam * loss
@@ -453,7 +421,7 @@ def _phase2_targets(
         batch_size,
         cache=llm_cache,
     )
-    llm_norm, _ = _minmax_rows(llm_scores)
+    llm_norm, _ = minmax_normalize(llm_scores)
     k = cand.shape[1]
     targets = (cand.reshape(-1, 2, k), llm_norm.reshape(-1, 2, k), usable.reshape(-1, 2))
     counts = {"llm_hits": hits, "llm_misses": len(usable) - hits, "llm_unusable": int(np.sum(~usable))}
@@ -548,17 +516,13 @@ def distill_run(
                 d_scores = np.zeros_like(s_scores)
 
                 if cfg.method in ("ours", "bkd"):
-                    l_soft, g_soft = _soft_kd_rows(t_scores, s_scores, cfg.tau)
-                    if cfg.method == "ours" and cfg.alpha_kd < 1.0:
-                        l_hard, g_hard = _hard_ce_rows(s_scores, gts)
-                        batch_loss += float(np.sum(cfg.alpha_kd * l_soft + (1.0 - cfg.alpha_kd) * l_hard))
-                        d_scores += cfg.alpha_kd * g_soft + (1.0 - cfg.alpha_kd) * g_hard
-                    else:
-                        batch_loss += float(np.sum(l_soft))
-                        d_scores += g_soft
+                    alpha = cfg.alpha_kd if cfg.method == "ours" else 1.0
+                    l_kd, g_kd = kd_soft_loss(t_scores, s_scores, gts, cfg.tau, alpha)
+                    batch_loss += float(np.sum(l_kd))
+                    d_scores += g_kd
 
                 if cfg.beta > 0.0:
-                    l_sup, g_sup = _mse_softmax_rows(s_scores, gts)
+                    l_sup, g_sup = supervised_loss(s_scores, gts)
                     batch_loss += cfg.beta * float(np.sum(l_sup))
                     d_scores += cfg.beta * g_sup
 

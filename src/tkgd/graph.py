@@ -6,10 +6,12 @@ calendar tokens; everything downstream works on contiguous integer ids.
 
 Datasets are built column-wise: a split file becomes name columns and a year
 array, each distinct time token is parsed once, names map to ids through one
-lookup per column and years to buckets through one searchsorted.  Facts are
+lookup per column and years to buckets through one searchsorted
+(Vocabulary.buckets_for_years, the only year-to-bucket mapping).  Facts are
 also addressed by integer keys over (E, R, B), the entity, relation and bucket
 counts: duplicate rows are found by key, and KnownFacts, the filtered-ranking
-index, is two sorted key arrays, so every key must fit in int64.
+index, is two sorted key arrays read a block of queries at a time, so every
+key must fit in int64.
 
 save_dataset also writes a binary copy of what parsing its text gives back
 (names, bucket years, the three id arrays) together with the SHA-256 of the
@@ -104,7 +106,8 @@ class Vocabulary:
     Entity and relation ids are contiguous from zero in first-appearance
     order (training split first, then validation, then test).  Time buckets
     cover exactly the years observed in training, sorted ascending; years
-    outside that set clamp to the nearest bucket.
+    map to bucket ids through buckets_for_years, which clamps years outside
+    that set to the nearest bucket.
     """
 
     def __init__(self, entity_names: list[str], relation_names: list[str], time_buckets: list[int]):
@@ -117,7 +120,6 @@ class Vocabulary:
         self.time_buckets = list(time_buckets)
         self._entity_ids = {name: i for i, name in enumerate(self.entity_names)}
         self._relation_ids = {name: i for i, name in enumerate(self.relation_names)}
-        self._bucket_ids = {year: i for i, year in enumerate(self.time_buckets)}
         if len(self._entity_ids) != len(self.entity_names):
             raise DataError("duplicate entity name in vocabulary")
         if len(self._relation_ids) != len(self.relation_names):
@@ -147,31 +149,14 @@ class Vocabulary:
         except KeyError:
             raise DataError(f"unknown relation name: {name!r}") from None
 
-    def bucket_for_year(self, year: int) -> int:
-        """Bucket id for a year, clamping unseen years to the nearest bucket.
-
-        Equidistant years resolve to the earlier bucket, so the mapping is
-        deterministic.
-        """
-        hit = self._bucket_ids.get(year)
-        if hit is not None:
-            return hit
-        buckets = self.time_buckets
-        lo, hi = 0, len(buckets) - 1
-        if year < buckets[0]:
-            return 0
-        if year > buckets[-1]:
-            return hi
-        while hi - lo > 1:
-            mid = (lo + hi) // 2
-            if buckets[mid] <= year:
-                lo = mid
-            else:
-                hi = mid
-        return lo if (year - buckets[lo]) <= (buckets[hi] - year) else hi
-
     def buckets_for_years(self, years) -> np.ndarray:
-        """bucket_for_year over an array of years, as one int64 array."""
+        """Bucket id of each year, as one int64 array from one searchsorted.
+
+        A year that is a bucket maps to that bucket.  Any other year maps to
+        the nearest bucket, so years before the first or after the last bucket
+        clamp to it, and a year equidistant from two buckets takes the
+        earlier one.
+        """
         buckets = np.asarray(self.time_buckets, dtype=np.int64)
         years = np.asarray(years, dtype=np.int64)
         hi = np.minimum(np.searchsorted(buckets, years), len(buckets) - 1)
@@ -195,9 +180,9 @@ class KnownFacts:
     is stored once under ((s * R + p) * B + t) * E + o and once under
     ((p * E + o) * B + t) * E + s, so the objects completing (s, p, ?, t), and
     the subjects completing (?, p, o, t), are one contiguous range of keys.
-    objects_for and subjects_for read such a range as a set; keep_mask reads
-    one range per query row, all rows at once.  Ids outside the indexed range
-    complete no query.
+    _ranges finds that range for every query row at once, and keep_mask turns
+    the ranges of a block into its filtered-candidate mask.  Ids outside the
+    indexed range complete no query.
 
     Both arrays are built with numerics.sorted_unique, a sort and an
     adjacent-difference mask, not np.unique, whose values-only form hashes
@@ -222,20 +207,6 @@ class KnownFacts:
 
     def __len__(self) -> int:
         return len(self._spto)
-
-    def __contains__(self, quad: tuple[int, int, int, int]) -> bool:
-        s, p, o, t = (int(v) for v in quad)
-        return 0 <= o < self._n_e and o in self.objects_for(s, p, t)
-
-    def objects_for(self, s: int, p: int, t: int) -> set[int]:
-        return self._completions(np.array([[s, p, 0, t]]), "object")
-
-    def subjects_for(self, p: int, o: int, t: int) -> set[int]:
-        return self._completions(np.array([[0, p, o, t]]), "subject")
-
-    def _completions(self, query: np.ndarray, slot: str) -> set[int]:
-        keys, base, start, stop = self._ranges(query, slot)
-        return set((keys[start[0] : stop[0]] - base[0]).tolist())
 
     def _ranges(self, quads: np.ndarray, slot: str) -> tuple[np.ndarray, ...]:
         """(keys, base, start, stop): row i's completions are keys[start[i]:stop[i]] - base[i]."""
@@ -761,17 +732,10 @@ def filter_candidates(cs: CandidateSet, known: KnownFacts) -> CandidateSet:
     ground_truth_index is recomputed against the surviving candidates.
     """
     q = cs.query
-    if cs.slot == "object":
-        taken = known.objects_for(q.s, q.p, q.t) - {q.o}
-        truth = q.o
-    else:
-        taken = known.subjects_for(q.p, q.o, q.t) - {q.s}
-        truth = q.s
-    if taken:
-        keep_mask = ~np.isin(cs.candidates, np.fromiter(taken, dtype=np.int64))
-        kept = cs.candidates[keep_mask]
-    else:
-        kept = cs.candidates.copy()
+    truth = q.o if cs.slot == "object" else q.s
+    keys, base, start, stop = known._ranges(np.array([q]), cs.slot)
+    taken = keys[start[0] : stop[0]] - base[0]
+    kept = cs.candidates[~np.isin(cs.candidates, taken[taken != truth])]
     gt_index = int(np.searchsorted(kept, truth))
     return CandidateSet(query=q, slot=cs.slot, candidates=kept, ground_truth_index=gt_index)
 

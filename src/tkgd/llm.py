@@ -21,7 +21,7 @@ from pathlib import Path
 import numpy as np
 
 from .graph import DataError, SyntheticRule, Vocabulary
-from .models import Params, batch_candidate_scores, score_quadruple
+from .models import Params, batch_candidate_scores, pair_encoding, score_quadruple
 
 logger = logging.getLogger(__name__)
 
@@ -37,7 +37,6 @@ __all__ = [
     "EchoTeacher",
     "PlantedRuleTeacher",
     "NoiseTeacher",
-    "build_prompt",
     "make_query",
     "parse_scores",
     "cache_key",
@@ -114,11 +113,6 @@ def _flat_names(vocab: Vocabulary) -> tuple[list[str], list[str]]:
             [_sanitize(n) for n in vocab.relation_names],
         )
     return names
-
-
-def build_prompt(quad, slot: str, candidate_ids: np.ndarray, vocab: Vocabulary) -> str:
-    """make_query's prompt text."""
-    return make_query(quad, slot, candidate_ids, vocab).prompt
 
 
 def make_query(quad, slot: str, candidate_ids: np.ndarray, vocab: Vocabulary) -> LlmQuery:
@@ -383,7 +377,7 @@ class EchoTeacher(TeacherHandle):
         self.calls += 1
         vocab = self.vocab
         p = vocab.relation_id(query.relation)
-        t = vocab.bucket_for_year(query.year)
+        t = int(vocab.buckets_for_years([query.year])[0])
         raw = []
         for name in query.candidates:
             cid = vocab.entity_id(name)
@@ -528,12 +522,13 @@ def resolve_topk(
     """Language-model scores of the teacher's top-k candidates, one row per query.
 
     Query i asks for slot slots[i] of quads[i].  The teacher scores the
-    queries in blocks of `block` rows, which bounds the scorer's temporaries,
-    and each row keeps its k best candidates in stable order.  Every query
-    then goes through score_query in row order, so the cache sees the same
-    lookups and writes as one query at a time would give.  Returns the (n, k)
-    candidate ids, their (n, k) scores, the (n,) usable mask and the number
-    of queries answered from the cache.
+    queries in blocks of `block` rows, which bounds the scorer's temporaries.
+    A block is encoded once (models.pair_encoding) and scored per slot, and
+    each row keeps the k best candidates of its slot in stable order.  Every
+    query then goes through score_query in row order, so the cache sees the
+    same lookups and writes as one query at a time would give.  Returns the
+    (n, k) candidate ids, their (n, k) scores, the (n,) usable mask and the
+    number of queries answered from the cache.
     """
     quads = np.asarray(quads, dtype=np.int64).reshape(-1, 4)
     slots = np.asarray(slots, dtype=object)
@@ -545,12 +540,13 @@ def resolve_topk(
     hits = 0
     for lo in range(0, n, block):
         hi = min(lo + block, n)
-        rows = np.arange(lo, hi)
+        block_quads = quads[lo:hi]
+        encoding = pair_encoding(teacher, vocab, block_quads)
         for slot in ("subject", "object"):
-            sel = rows[slots[rows] == slot]
+            sel = np.flatnonzero(slots[lo:hi] == slot)
             if sel.size:
-                t_scores = batch_candidate_scores(teacher, vocab, quads[sel], slot)
-                candidates[sel] = np.argsort(-t_scores, axis=1, kind="stable")[:, :k]
+                t_scores = batch_candidate_scores(teacher, vocab, block_quads, slot, encoding)[sel]
+                candidates[lo + sel] = np.argsort(-t_scores, axis=1, kind="stable")[:, :k]
         for i in range(lo, hi):
             result = score_query(handle, quad_rows[i], slot_names[i], candidates[i], vocab, cache=cache)
             scores[i] = result.scores

@@ -365,10 +365,6 @@ class GradAccum:
         if name in self._touched:
             self._touched[name][:] = True
 
-    def scale(self, factor: float) -> None:
-        for buf in self._buf.values():
-            buf *= factor
-
     def apply(self, lr: float, eps: float) -> None:
         for name in self._tables:
             if name not in self._buf:

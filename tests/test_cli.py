@@ -365,6 +365,45 @@ class TestFailureModes:
         assert str(data / "rule.json") in err and problem in err
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize(
+        "edit, field",
+        [
+            (lambda h: h.pop("n_entities"), "'n_entities'"),
+            (lambda h: h.update(n_entities="12"), "'n_entities'"),
+            (lambda h: h.update(n_relations=True), "'n_relations'"),
+            (lambda h: h.update(dim=8.0), "'dim'"),
+            (lambda h: h.pop("n_buckets"), "'n_buckets'"),
+            (lambda h: h.pop("tensors"), "'tensors'"),
+            (lambda h: h["tensors"][0].__setitem__(1, ["12", 8]), "'tensors'"),
+            (lambda h: h["tensors"][1].__setitem__(1, [-2, 8]), "'tensors'"),
+            (lambda h: h["tensors"][2].append("extra"), "'tensors'"),
+            (lambda h: h["tensors"].append("time_emb"), "'tensors'"),
+            (lambda h: h.update(tensors={"entity_emb": [12, 8]}), "'tensors'"),
+        ],
+    )
+    def test_malformed_checkpoint_header_exits_cleanly(self, tmp_path, monkeypatch, capsys, edit, field):
+        """A checkpoint whose digest holds but whose header lacks or mistypes a field is refused by name."""
+        import hashlib
+
+        monkeypatch.chdir(tmp_path)
+        cfg = _write(tmp_path)
+        assert main(["train-teacher", "--config", cfg]) == 0
+        path = tmp_path / "out" / "teacher.ckpt"
+        blob = path.read_bytes()
+        n = int.from_bytes(blob[4:8], "little")
+        header = json.loads(blob[8 : 8 + n])
+        edit(header)
+        new = json.dumps(header, sort_keys=True).encode("utf-8")
+        payload = blob[8 + n : -32]
+        digest = hashlib.sha256(new + payload).digest()
+        path.write_bytes(blob[:4] + len(new).to_bytes(4, "little") + new + payload + digest)
+        capsys.readouterr()
+        assert main(["evaluate", "--config", cfg, "--checkpoint", str(path)]) == 1
+        err = capsys.readouterr().err
+        errors = [line for line in err.splitlines() if line.startswith("error: ")]
+        assert len(errors) == 1 and str(path) in errors[0] and field in errors[0], err
+        assert "Traceback" not in err
+
     def test_single_entity_dataset_rejected(self, tmp_path, monkeypatch, capsys):
         monkeypatch.chdir(tmp_path)
         cfg = _write(tmp_path, _with(BASE_CONFIG, n_entities="1", n_facts="8"))

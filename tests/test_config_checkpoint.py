@@ -262,6 +262,19 @@ class TestCheckpointCorruption:
         with pytest.raises(CheckpointError, match="version"):
             load_checkpoint(path)
 
+    def test_header_that_is_not_an_object_detected(self, tmp_path):
+        import hashlib
+
+        path = self._saved(tmp_path)
+        blob = path.read_bytes()
+        header_len = int.from_bytes(blob[4:8], "little")
+        payload = blob[8 + header_len : -32]
+        new_header = b"[1, 2]"
+        digest = hashlib.sha256(new_header + payload).digest()
+        path.write_bytes(blob[:4] + len(new_header).to_bytes(4, "little") + new_header + payload + digest)
+        with pytest.raises(CheckpointError, match="JSON object"):
+            load_checkpoint(path)
+
     def test_missing_file(self, tmp_path):
         with pytest.raises(CheckpointError, match="cannot read"):
             load_checkpoint(tmp_path / "absent.ckpt")

@@ -13,7 +13,6 @@ from tkgd.distill import (
     minmax_normalize,
     rkd_loss,
     supervised_loss,
-    total_loss,
 )
 from tkgd.numerics import finite_diff_check, log_softmax_with_temperature, softmax_with_temperature
 
@@ -184,23 +183,6 @@ class TestSupervised:
             supervised_loss(np.array([1.0]), 1)
 
 
-class TestTotalLoss:
-    def test_weighted_sum(self):
-        cfg = DistillConfig(phase1_epochs=1, phase2_epochs=1, lambda_llm=0.5, beta=0.1)
-        assert total_loss(1.0, 2.0, 3.0, cfg) == pytest.approx(2.3, abs=1e-12)
-
-    def test_all_zero(self):
-        cfg = DistillConfig(phase1_epochs=1, phase2_epochs=0)
-        assert total_loss(0.0, 0.0, 0.0, cfg) == 0.0
-
-    def test_non_finite_rejected(self):
-        cfg = DistillConfig(phase1_epochs=1, phase2_epochs=0)
-        with pytest.raises(ValueError):
-            total_loss(float("nan"), 0.0, 0.0, cfg)
-        with pytest.raises(ValueError):
-            total_loss(float("inf"), 0.0, 0.0, cfg)
-
-
 class TestMinmaxNormalize:
     def test_basic_mapping(self):
         normed, slope = minmax_normalize(np.array([0.0, 5.0, 10.0]))
@@ -223,6 +205,84 @@ class TestMinmaxNormalize:
         s = np.array([1.0, 2.0])
         minmax_normalize(s)
         assert s.tolist() == [1.0, 2.0]
+
+
+# Each per-query loss as (per-row value, per-row array) of (teacher or llm, student, truth) inputs.
+BLOCK_LOSSES = {
+    "kd_soft_alpha0": lambda t, s, gt: kd_soft_loss(t, s, gt, tau=3.0, alpha_kd=0.0),
+    "kd_soft_alpha04": lambda t, s, gt: kd_soft_loss(t, s, gt, tau=3.0, alpha_kd=0.4),
+    "kd_soft_alpha1": lambda t, s, gt: kd_soft_loss(t, s, gt, tau=3.0, alpha_kd=1.0),
+    "bkd": lambda t, s, gt: bkd_loss(t, s, tau=7.0),
+    "supervised": lambda t, s, gt: supervised_loss(s, gt),
+    "huber": lambda t, s, gt: huber_alignment_loss(t, s, delta=0.5),
+    "minmax": lambda t, s, gt: minmax_normalize(s)[::-1],
+}
+
+
+class TestBlocks:
+    """An (m, n) block gives, row by row, the bytes of the (n,) call on that row."""
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("name", sorted(BLOCK_LOSSES))
+    def test_rows_equal_vector_calls(self, name, dtype):
+        rng = np.random.default_rng(3)
+        m, n = 7, 11
+        t = rng.normal(0.0, 2.0, (m, n)).astype(dtype)
+        s = rng.normal(0.0, 2.0, (m, n)).astype(dtype)
+        s[2] = s[2, 0]  # a flat row
+        t[4] = s[4]  # a row where teacher and student agree
+        gt = rng.integers(0, n, m)
+        fn = BLOCK_LOSSES[name]
+        per_row, block = fn(t, s, gt)
+        assert per_row.shape == (m,) and block.shape == (m, n)
+        for i in range(m):
+            value, row = fn(t[i], s[i], gt[i])
+            assert isinstance(value, float)
+            assert value == float(per_row[i]), (name, i)
+            assert row.dtype == block.dtype and row.tobytes() == block[i].tobytes(), (name, i)
+
+    @pytest.mark.parametrize("name", ["huber", "minmax"])
+    def test_empty_block(self, name):
+        """The alignment step meets a block of no rows when no query of a batch got usable scores."""
+        per_row, block = BLOCK_LOSSES[name](np.zeros((0, 4)), np.zeros((0, 4)), np.zeros(0, dtype=np.int64))
+        assert per_row.shape == (0,) and block.shape == (0, 4)
+
+    @pytest.mark.parametrize(
+        "name,t_shape,s_shape",
+        [
+            (name, t_shape, s_shape)
+            for name in sorted(BLOCK_LOSSES)
+            for t_shape, s_shape in [
+                ((3, 4), (3, 5)), ((2, 4), (3, 4)), ((2, 3, 4), (2, 3, 4)), ((), ()), ((3, 0), (3, 0)), ((0,), (0,))
+            ]
+            if t_shape == s_shape or name not in ("supervised", "minmax")  # these two take one score input
+        ],
+    )
+    def test_bad_shapes_rejected(self, name, t_shape, s_shape):
+        gt = np.zeros(s_shape[:1] if len(s_shape) == 2 else (), dtype=np.int64)
+        with pytest.raises(ValueError):
+            BLOCK_LOSSES[name](np.ones(t_shape), np.ones(s_shape), gt)
+
+    @pytest.mark.parametrize("loss", ["kd_soft", "supervised"])
+    @pytest.mark.parametrize(
+        "gt",
+        [
+            0,  # a scalar for a block
+            np.array([0, 1]),  # too few rows
+            np.array([[0], [1], [2]]),
+            np.array([0, 4, 1]),  # past the row
+            np.array([0, -1, 1]),
+            np.array([0.0, 1.0, 2.0]),
+            np.array([True, False, True]),
+        ],
+    )
+    def test_bad_truth_rows_rejected(self, loss, gt):
+        t, s = np.ones((3, 4)), np.zeros((3, 4))
+        with pytest.raises(ValueError):
+            if loss == "kd_soft":
+                kd_soft_loss(t, s, gt)
+            else:
+                supervised_loss(s, gt)
 
 
 class TestFitnetHint:

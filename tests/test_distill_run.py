@@ -7,7 +7,6 @@ import pytest
 from tkgd.distill import (
     DistillConfig,
     _align_rows,
-    _minmax_rows,
     distill_run,
     huber_alignment_loss,
     make_student,
@@ -320,7 +319,7 @@ class TestAlignRows:
             ref_loss.append(lam * l2)
             ref[row, top[row]] += (lam * slope) * g2.astype(ref.dtype)
 
-        loss = _align_rows(s_scores, top, _minmax_rows(llm)[0], usable, lam, delta, d_scores)
+        loss = _align_rows(s_scores, top, minmax_normalize(llm)[0], usable, lam, delta, d_scores)
         assert d_scores.tobytes() == ref.tobytes()
         assert np.allclose(loss, ref_loss, rtol=0.0, atol=1e-12)
         assert not np.array_equal(d_scores[0], before[0])

@@ -66,6 +66,24 @@ def _reference_read_split_file(path, schema):
     return rows
 
 
+def _bucket_for_year(buckets, year):
+    """Scalar reference of Vocabulary.buckets_for_years: a bisect, ties to the earlier bucket."""
+    if year in buckets:
+        return buckets.index(year)
+    lo, hi = 0, len(buckets) - 1
+    if year < buckets[0]:
+        return 0
+    if year > buckets[-1]:
+        return hi
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if buckets[mid] <= year:
+            lo = mid
+        else:
+            hi = mid
+    return lo if (year - buckets[lo]) <= (buckets[hi] - year) else hi
+
+
 def _reference_build_dataset(named_splits, origin):
     if not named_splits.get("train"):
         raise DataError(f"{origin}: training split is empty")
@@ -83,7 +101,7 @@ def _reference_build_dataset(named_splits, origin):
     for split in SPLIT_NAMES:
         seen, quads, duplicates = set(), [], 0
         for s_name, p_name, o_name, year in named_splits.get(split, []):
-            quad = (entity_ids[s_name], relation_ids[p_name], entity_ids[o_name], vocab.bucket_for_year(year))
+            quad = (entity_ids[s_name], relation_ids[p_name], entity_ids[o_name], _bucket_for_year(train_years, year))
             if quad in seen:
                 duplicates += 1
                 continue
@@ -120,6 +138,12 @@ def _warnings(caplog, load):
 
 def _random_facts(rng, n, n_e, n_r, n_b):
     return np.stack([rng.integers(0, bound, n) for bound in (n_e, n_r, n_e, n_b)], axis=1)
+
+
+def _completions(known, quads, slot):
+    """The ids completing each query row, as a set per row, read from KnownFacts._ranges."""
+    keys, base, start, stop = known._ranges(np.asarray(quads), slot)
+    return [set((keys[a:b] - c).tolist()) for a, b, c in zip(start, stop, base)]
 
 
 def _python_set_index(facts):
@@ -183,7 +207,8 @@ class TestVocabulary:
     )
     def test_year_clamping(self, year, bucket):
         v = Vocabulary(["a"], ["r"], [1900, 1910])
-        assert v.bucket_for_year(year) == bucket
+        assert v.buckets_for_years([year]).tolist() == [bucket]
+        assert _bucket_for_year(v.time_buckets, year) == bucket
 
     def test_unknown_name_errors(self):
         v = Vocabulary(["a"], ["r"], [1990])
@@ -615,7 +640,7 @@ class TestBucketsForYears:
         years = exact + below_above + equidistant + between + [-1, 0, -999_999]
         got = v.buckets_for_years(np.array(years))
         assert got.dtype == np.int64
-        assert got.tolist() == [v.bucket_for_year(y) for y in years]
+        assert got.tolist() == [_bucket_for_year(buckets, y) for y in years]
 
     def test_equidistant_goes_to_earlier_bucket(self):
         v = Vocabulary(["a"], ["r"], [-50, -10, 1900, 1910])
@@ -638,13 +663,18 @@ class TestKnownFactsIndex:
         every, objects, subjects = _python_set_index(facts)
         assert len(known) == len(every)
         ids = range(-2, max(n_e, n_r, n_b) + 2)
-        for s in ids:
-            for p in range(-1, n_r + 2):
-                for t in range(-1, n_b + 2):
-                    assert known.objects_for(s, p, t) == objects.get((s, p, t), set())
-                    assert known.subjects_for(p, s, t) == subjects.get((p, s, t), set())
-                    for o in (-1, 0, 3, n_e - 1, n_e):
-                        assert ((s, p, o, t) in known) == ((s, p, o, t) in every)
+        grid = [(s, p, t) for s in ids for p in range(-1, n_r + 2) for t in range(-1, n_b + 2)]
+        objects_got = _completions(known, [(s, p, 0, t) for s, p, t in grid], "object")
+        subjects_got = _completions(known, [(0, p, s, t) for s, p, t in grid], "subject")
+        # every query's truth is n_e, which completes nothing, so keep_mask masks exactly the known objects
+        keep = known.keep_mask([(s, p, n_e, t) for s, p, t in grid], "object", n_e + 1)
+        for i, (s, p, t) in enumerate(grid):
+            assert objects_got[i] == objects.get((s, p, t), set())
+            assert subjects_got[i] == subjects.get((p, s, t), set())
+            for o in (-1, 0, 3, n_e - 1, n_e):
+                assert (o in objects_got[i]) == ((s, p, o, t) in every)
+                if o >= 0:
+                    assert (not keep[i, o]) == ((s, p, o, t) in every)
 
     @pytest.mark.parametrize("slot", ["subject", "object"])
     def test_keep_mask_matches_python_sets(self, slot):
@@ -686,8 +716,8 @@ class TestKnownFactsIndex:
     def test_empty_index(self):
         known = KnownFacts(np.empty((0, 4), dtype=np.int64))
         assert len(known) == 0
-        assert (0, 0, 0, 0) not in known
-        assert known.objects_for(0, 0, 0) == set() and known.subjects_for(0, 0, 0) == set()
+        assert _completions(known, [(0, 0, 0, 0)], "object") == [set()]
+        assert _completions(known, [(0, 0, 0, 0)], "subject") == [set()]
         mask = known.keep_mask(np.array([[0, 0, 1, 0], [2, 0, 0, 0]]), "object", 3)
         assert mask.all()
 
@@ -696,9 +726,10 @@ class TestKnownFactsIndex:
         assert len(ds.valid) == 0
         every, objects, _subjects = _python_set_index(np.concatenate([ds.train, ds.valid, ds.test]))
         assert len(ds.known) == len(every)
-        for s, p, o, t in every:
-            assert (s, p, o, t) in ds.known
-            assert ds.known.objects_for(s, p, t) == objects[(s, p, t)]
+        facts = sorted(every)
+        for (s, p, o, t), got in zip(facts, _completions(ds.known, facts, "object")):
+            assert o in got
+            assert got == objects[(s, p, t)]
 
     def test_negative_ids_rejected(self):
         with pytest.raises(DataError):
@@ -734,8 +765,9 @@ class TestDataset:
 
     def test_known_facts_cover_all_splits(self, small_synth):
         for split in (small_synth.train, small_synth.valid, small_synth.test):
-            for quad in split:
-                assert tuple(quad) in small_synth.known
+            for slot, col in (("object", 2), ("subject", 0)):
+                got = _completions(small_synth.known, split, slot)
+                assert all(quad[col] in ids for quad, ids in zip(split.tolist(), got))
 
 
 class TestCandidates:

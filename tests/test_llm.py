@@ -1,6 +1,7 @@
 """Prompt construction, response parsing, caching and the teacher mocks."""
 import hashlib
 import http.server
+import importlib
 import json
 import logging
 import random
@@ -26,7 +27,6 @@ from tkgd.llm import (
     RemoteTeacher,
     ScoreCache,
     TeacherHandle,
-    build_prompt,
     cache_key,
     make_query,
     parse_scores,
@@ -142,7 +142,6 @@ class TestPrompt:
         for quad, cands, pins in _PINNED_PROMPTS:
             for slot, (prompt_hash, key) in pins.items():
                 q = make_query(quad, slot, np.array(cands), vocab)
-                assert q.prompt == build_prompt(quad, slot, np.array(cands), vocab)
                 assert (q.prompt_hash, cache_key("mock-planted", q.prompt)) == (prompt_hash, key), (len(cands), slot)
 
     def test_matches_reference_on_random_queries(self):
@@ -172,9 +171,7 @@ class TestPrompt:
     def test_deterministic_bytes_and_hash(self, tiny_vocab):
         quad = (0, 1, 2, 1)
         cands = np.array([0, 1, 2, 3])
-        a = build_prompt(quad, "object", cands, tiny_vocab)
-        b = build_prompt(quad, "object", cands, tiny_vocab)
-        assert a == b
+        a = make_query(quad, "object", cands, tiny_vocab).prompt
         q = make_query(quad, "object", cands, tiny_vocab)
         assert q.prompt == a
         assert q.prompt_hash == hashlib.sha256(a.encode("utf-8")).hexdigest()
@@ -193,7 +190,7 @@ class TestPrompt:
 
     def test_candidates_numbered_from_one(self):
         vocab = Vocabulary([f"e{i}" for i in range(12)], ["r0"], [2000])
-        prompt = build_prompt((0, 0, 1, 0), "object", np.arange(10), vocab)
+        prompt = make_query((0, 0, 1, 0), "object", np.arange(10), vocab).prompt
         lines = prompt.splitlines()
         numbered = [ln for ln in lines if ln and ln[0].isdigit()]
         assert numbered == [f"{i + 1}. e{i}" for i in range(10)]
@@ -201,7 +198,7 @@ class TestPrompt:
 
     def test_messy_names_flattened_to_one_line(self):
         vocab = Vocabulary(["tab\there", "new\nline", "plain"], ["r\t0"], [1990])
-        prompt = build_prompt((0, 0, 1, 0), "object", np.array([0, 1, 2]), vocab)
+        prompt = make_query((0, 0, 1, 0), "object", np.array([0, 1, 2]), vocab).prompt
         assert "tab here" in prompt
         assert "new line" in prompt
         assert "r 0" in prompt
@@ -210,11 +207,11 @@ class TestPrompt:
 
     def test_candidate_count_limits(self, tiny_vocab):
         with pytest.raises(ValueError):
-            build_prompt((0, 0, 1, 0), "object", np.array([], dtype=np.int64), tiny_vocab)
+            make_query((0, 0, 1, 0), "object", np.array([], dtype=np.int64), tiny_vocab)
         with pytest.raises(ValueError):
-            build_prompt((0, 0, 1, 0), "object", np.zeros(51, dtype=np.int64), tiny_vocab)
+            make_query((0, 0, 1, 0), "object", np.zeros(51, dtype=np.int64), tiny_vocab)
         with pytest.raises(ValueError):
-            build_prompt((0, 0, 1, 0), "both", np.array([0]), tiny_vocab)
+            make_query((0, 0, 1, 0), "both", np.array([0]), tiny_vocab)
 
 
 _REFERENCE_SCORE_LINE = re.compile(r"^\s*(\d+)\s*[:.)\-]\s*(-?\d+(?:\.\d+)?)\s*$")
@@ -475,6 +472,31 @@ class TestResolveTopk:
         assert not usable.any()
         assert np.all(scores == 50.0)
         assert hits == 0
+
+
+    def test_one_encoder_forward_per_block(self, monkeypatch):
+        """A recurrent teacher's block is encoded once, for both slots, and shortlists as one query at a time does."""
+        models_module = importlib.import_module("tkgd.models")
+        ds = generate_synthetic(12, 3, 5, 40, 0.9, seed=7)
+        vocab = ds.vocab
+        teacher = init_params("tadistmult", 8, vocab.n_entities, 3, len(vocab.time_buckets), seed=0)
+        quads = np.repeat(ds.train[:7], 2, axis=0)
+        slots = ["subject", "object"] * 7
+        ref = []
+        for quad, slot in zip(quads, slots):
+            teacher_scores = batch_candidate_scores(teacher, vocab, quad[None], slot)[0]
+            ref.append(np.argsort(-teacher_scores, kind="stable")[:5])
+        forwards = []
+        original = models_module.lstm_forward
+
+        def counted(tokens, params):
+            forwards.append(len(tokens))
+            return original(tokens, params)
+
+        monkeypatch.setattr(models_module, "lstm_forward", counted)
+        cands, _, _, _ = resolve_topk(NoiseTeacher(3), teacher, vocab, quads, slots, 5, block=4)
+        assert np.array_equal(cands, ref)
+        assert len(forwards) == 4  # 14 rows in blocks of 4, one forward per block
 
 
 class TestEchoTeacher:

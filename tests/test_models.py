@@ -558,14 +558,6 @@ class TestGradAccum:
         assert np.all(out["w"][3:] == 0.0)
         assert np.all(out["entity_emb"] == 0.0)
 
-    def test_scale(self):
-        params = init_params("ttranse", 2, 3, 1, 1, seed=0, dtype=np.float64)
-        grads = GradAccum(params)
-        grads.add_rows("entity_emb", np.array([0]), np.array([[2.0, 4.0]]))
-        grads.scale(0.5)
-        got = grads.dense_dict()["entity_emb"]
-        assert np.array_equal(got, np.array([[1.0, 2.0], [0.0, 0.0], [0.0, 0.0]]))
-
 
 class TestSupervisedGradients:
     def test_zero_distance_positive_contributes_nothing(self):
