@@ -8,6 +8,11 @@ dataset and config that produced the parameters, so a checkpoint can refuse to
 load into the wrong model and can flag a vocabulary mismatch before it turns
 into silently shuffled entities.
 
+The contract: the header's tensor list is exactly _file_layout of its backbone,
+dim, n_entities, n_relations and n_buckets.  Saving refuses parameters whose
+shapes disagree with it, and loading refuses a header whose list differs from
+it, so a file's tensors always have the shapes its sizes promise.
+
 The recurrent backbone keeps its LSTM as three stacked tensors w, u and b, but
 the file keeps them as twelve per-gate slices named w_input ... b_output (gates
 in models.GATES order), the layout of files written before the tensors were
@@ -19,12 +24,13 @@ from __future__ import annotations
 import hashlib
 import json
 import logging
+import math
 from pathlib import Path
 
 import numpy as np
 
-from .graph import Vocabulary, _is_int
-from .models import BACKBONES, GATES, Params, TADistMultParams, TTransEParams
+from .graph import Vocabulary, _is_int, _write_atomic
+from .models import BACKBONES, GATES, N_DIGIT_TOKENS, Params, TADistMultParams, TTransEParams
 from .numerics import ParamTensor
 
 logger = logging.getLogger(__name__)
@@ -37,26 +43,24 @@ _DIGEST_BYTES = 32
 _LSTM_TENSORS = ("w", "u", "b")
 
 
-def _file_tensors(params: Params) -> list[tuple[str, np.ndarray]]:
-    """(name, array) pairs in file order, the LSTM tensors split per gate."""
+def _file_layout(backbone: str, dim: int, n_entities: int, n_relations: int, n_buckets: int) -> list[list]:
+    """The header's tensor list, [name, [sizes]] in file order, for a backbone and its sizes."""
+    if backbone == "ttranse":
+        return [["entity_emb", [n_entities, dim]], ["relation_emb", [n_relations, dim]], ["time_emb", [n_buckets, dim]]]
+    gates = [[f"{p}_{g}", [dim] if p == "b" else [dim, dim]] for p in _LSTM_TENSORS for g in GATES]
+    return [["entity_emb", [n_entities, dim]], ["token_emb", [n_relations + N_DIGIT_TOKENS, dim]], *gates]
+
+
+def _file_arrays(params: Params) -> list[np.ndarray]:
+    """The arrays _file_layout names, in file order: the LSTM tensors split per gate."""
     out = []
     for name, t in params.tables().items():
-        if params.backbone == "tadistmult" and name in _LSTM_TENSORS:
-            out.extend((f"{name}_{gate}", part) for gate, part in zip(GATES, np.split(t.values, len(GATES))))
-        else:
-            out.append((name, t.values))
+        out.extend(np.split(t.values, len(GATES)) if name in _LSTM_TENSORS else [t.values])
     return out
 
 
 class CheckpointError(Exception):
     """A checkpoint file is unreadable, corrupt, or incompatible."""
-
-
-def _is_tensor_entry(entry) -> bool:
-    """True for a header tensor entry [name, [sizes]] with every size an integer >= 0."""
-    if not (isinstance(entry, list) and len(entry) == 2 and isinstance(entry[0], str) and isinstance(entry[1], list)):
-        return False
-    return all(_is_int(size) and size >= 0 for size in entry[1])
 
 
 def save_checkpoint(
@@ -67,34 +71,39 @@ def save_checkpoint(
     config_digest: str = "",
     n_buckets: int | None = None,
 ) -> None:
-    """Serialize params to path; see the module docstring for the layout."""
+    """Serialize params to path through a temporary file; see the module docstring for the layout.
+
+    Raises ValueError, writing nothing, when the shapes disagree with the layout the header sizes imply.
+    """
     path = Path(path)
-    tensors = _file_tensors(params)
     translation = params.backbone == "ttranse"
     n_relations = params.relation_emb.shape[0] if translation else params.n_relations
     if n_buckets is None:
         n_buckets = params.time_emb.shape[0] if translation else 0
-    header = {
-        "format_version": FORMAT_VERSION,
-        "backbone": params.backbone,
-        "dim": params.dim,
+    sizes = {
+        "dim": int(params.dim),
         "n_entities": int(params.entity_emb.shape[0]),
         "n_relations": int(n_relations),
         "n_buckets": int(n_buckets),
-        "tensors": [[name, list(t.shape)] for name, t in tensors],
+    }
+    layout = _file_layout(params.backbone, **sizes)
+    arrays = _file_arrays(params)
+    shapes = [list(a.shape) for a in arrays]
+    if shapes != [shape for _name, shape in layout]:
+        raise ValueError(f"cannot save {path}: tensor shapes {shapes} do not match the layout {layout} of {sizes}")
+    header = {
+        "format_version": FORMAT_VERSION,
+        "backbone": params.backbone,
+        **sizes,
+        "tensors": layout,
         "dataset_digest": dataset_digest,
         "config_digest": config_digest,
     }
     header_bytes = json.dumps(header, sort_keys=True).encode("utf-8")
-    payload = b"".join(np.ascontiguousarray(t, dtype="<f4").tobytes() for _name, t in tensors)
+    payload = b"".join(np.ascontiguousarray(a, dtype="<f4").tobytes() for a in arrays)
     digest = hashlib.sha256(header_bytes + payload).digest()
     path.parent.mkdir(parents=True, exist_ok=True)
-    with path.open("wb") as fh:
-        fh.write(MAGIC)
-        fh.write(len(header_bytes).to_bytes(4, "little"))
-        fh.write(header_bytes)
-        fh.write(payload)
-        fh.write(digest)
+    _write_atomic(path, MAGIC + len(header_bytes).to_bytes(4, "little") + header_bytes + payload + digest)
 
 
 def load_checkpoint(
@@ -103,17 +112,20 @@ def load_checkpoint(
     expect_backbone: str | None = None,
     expect_dim: int | None = None,
     dataset_digest: str | None = None,
+    vocab: Vocabulary | None = None,
 ) -> tuple[Params, dict]:
     """Read a checkpoint back into parameters; returns (params, header).
 
     The header's integer fields (dim, n_entities, n_relations, n_buckets)
-    and its [name, [sizes]] tensor list are type-checked, and the content
-    digest and declared shapes are verified against the actual bytes, before
-    anything is built; each failure is a CheckpointError naming the file and
-    the field.  expect_backbone and expect_dim reject incompatible
-    checkpoints outright; a dataset_digest that disagrees with the header
-    only warns, since evaluating on a different split of the same vocabulary
-    is legitimate.
+    are type-checked, its tensor list must equal the layout they imply, and
+    the file size and content digest are verified against the actual bytes,
+    before anything is built; each failure is a CheckpointError naming the
+    file and the field.  expect_backbone and expect_dim reject incompatible
+    checkpoints outright.  vocab, when given, must have the header's entity
+    and relation counts and, for ttranse, which embeds each bucket, its
+    bucket count; a mismatch is a CheckpointError.  A dataset_digest that
+    disagrees with the header only warns, since evaluating on a different
+    split of the same vocabulary is legitimate.
     Accumulators come back zeroed: a loaded model starts a fresh
     optimizer state.
     """
@@ -143,14 +155,15 @@ def load_checkpoint(
     if backbone not in BACKBONES:
         raise CheckpointError(f"{path}: unknown backbone {backbone!r}")
 
-    for key in ("dim", "n_entities", "n_relations", "n_buckets"):
-        if not _is_int(header.get(key)):
-            raise CheckpointError(f"{path}: header field {key!r} must be an integer, got {header.get(key)!r}")
-    tensors = header.get("tensors")
-    if not (isinstance(tensors, list) and all(map(_is_tensor_entry, tensors))):
-        raise CheckpointError(f"{path}: header field 'tensors' must list [name, [sizes >= 0]] pairs")
-    counts = [int(np.prod(shape, dtype=np.int64)) for _name, shape in tensors]
-    payload_len = 4 * int(sum(counts))
+    sizes = {key: header.get(key) for key in ("dim", "n_entities", "n_relations", "n_buckets")}
+    for key, value in sizes.items():
+        if not (_is_int(value) and value >= 0):
+            raise CheckpointError(f"{path}: header field {key!r} must be an integer >= 0, got {value!r}")
+    layout = _file_layout(backbone, **sizes)
+    if header.get("tensors") != layout:
+        raise CheckpointError(f"{path}: header field 'tensors' is {header.get('tensors')!r}, expected {layout}")
+    counts = [math.prod(shape) for _name, shape in layout]
+    payload_len = 4 * sum(counts)
     expected_total = 8 + header_len + payload_len + _DIGEST_BYTES
     if len(blob) != expected_total:
         raise CheckpointError(
@@ -163,8 +176,8 @@ def load_checkpoint(
 
     if expect_backbone is not None and backbone != expect_backbone:
         raise CheckpointError(f"{path}: checkpoint backbone is {backbone!r}, expected {expect_backbone!r}")
-    if expect_dim is not None and header.get("dim") != expect_dim:
-        raise CheckpointError(f"{path}: checkpoint dimension is {header.get('dim')}, expected {expect_dim}")
+    if expect_dim is not None and sizes["dim"] != expect_dim:
+        raise CheckpointError(f"{path}: checkpoint dimension is {sizes['dim']}, expected {expect_dim}")
     if dataset_digest is not None and header.get("dataset_digest") and header["dataset_digest"] != dataset_digest:
         logger.warning(
             "%s: checkpoint was trained on a different dataset (digest %s... vs %s...)",
@@ -172,24 +185,31 @@ def load_checkpoint(
             header["dataset_digest"][:12],
             dataset_digest[:12],
         )
+    if vocab is not None:
+        if (sizes["n_entities"], sizes["n_relations"]) != (vocab.n_entities, vocab.n_relations):
+            raise CheckpointError(
+                f"{path}: checkpoint vocabulary ({sizes['n_entities']} entities, "
+                f"{sizes['n_relations']} relations) does not match the dataset "
+                f"({vocab.n_entities} entities, {vocab.n_relations} relations)"
+            )
+        if backbone == "ttranse" and sizes["n_buckets"] != vocab.n_buckets:
+            raise CheckpointError(
+                f"{path}: checkpoint has {sizes['n_buckets']} time buckets, "
+                f"which does not match the dataset ({vocab.n_buckets} time buckets)"
+            )
 
     arrays = []
     offset = 0
-    for (_name, shape), count in zip(tensors, counts):
+    for (_name, shape), count in zip(layout, counts):
         flat = np.frombuffer(payload, dtype="<f4", count=count, offset=offset)
-        arrays.append(flat.reshape([int(s) for s in shape]).astype(np.float32, copy=True))
+        arrays.append(flat.reshape(shape).astype(np.float32, copy=True))
         offset += 4 * count
-    names = [name for name, _shape in tensors]
     if backbone == "ttranse":
-        if names != ["entity_emb", "relation_emb", "time_emb"]:
-            raise CheckpointError(f"{path}: unexpected tensor list {names} for backbone {backbone!r}")
         params: Params = TTransEParams(*(ParamTensor(a) for a in arrays))
     else:
-        if names != ["entity_emb", "token_emb"] + [f"{p}_{g}" for p in _LSTM_TENSORS for g in GATES]:
-            raise CheckpointError(f"{path}: unexpected tensor list {names} for backbone {backbone!r}")
-        by_name = dict(zip(names, arrays))
-        lstm = [np.concatenate([by_name[f"{p}_{g}"] for g in GATES]) for p in _LSTM_TENSORS]
-        params = TADistMultParams(*(ParamTensor(a) for a in arrays[:2] + lstm), n_relations=header["n_relations"])
+        slices = arrays[2:]
+        lstm = [np.concatenate(slices[i : i + len(GATES)]) for i in range(0, len(slices), len(GATES))]
+        params = TADistMultParams(*(ParamTensor(a) for a in arrays[:2] + lstm), n_relations=sizes["n_relations"])
     return params, header
 
 
@@ -221,6 +241,6 @@ def export_embeddings(params: Params, vocab: Vocabulary, path: str | Path) -> No
             block(
                 fh,
                 "digit-tokens",
-                [f"digit:{d}" for d in range(10)],
-                tokens[params.n_relations : params.n_relations + 10],
+                [f"digit:{d}" for d in range(N_DIGIT_TOKENS)],
+                tokens[params.n_relations : params.n_relations + N_DIGIT_TOKENS],
             )

@@ -119,30 +119,6 @@ def _make_llm_handle(cfg, teacher, dataset):
     return llm.NoiseTeacher(cfg.seed, model_id=model_id)
 
 
-def _vocab_sizes(dataset) -> tuple[int, int, int]:
-    v = dataset.vocab
-    return len(v.entity_names), len(v.relation_names), len(v.time_buckets)
-
-
-def _check_vocab(header: dict, dataset, path) -> None:
-    from .checkpoint import CheckpointError
-
-    n_entities, n_relations, n_buckets = _vocab_sizes(dataset)
-    if header["n_entities"] != n_entities or header["n_relations"] != n_relations:
-        raise CheckpointError(
-            f"{path}: checkpoint vocabulary ({header['n_entities']} entities, "
-            f"{header['n_relations']} relations) does not match the dataset "
-            f"({n_entities} entities, {n_relations} relations)"
-        )
-    # ttranse embeds each bucket, so its time table must line up with the dataset's buckets
-    shapes = dict(header["tensors"])
-    if header["backbone"] == "ttranse" and shapes["time_emb"][0] != n_buckets:
-        raise CheckpointError(
-            f"{path}: checkpoint has {shapes['time_emb'][0]} time buckets, "
-            f"which does not match the dataset ({n_buckets} time buckets)"
-        )
-
-
 def _print_report(report, split: str) -> None:
     print(f"split {split} ({report.mode}, {report.tie_policy} ties)   queries {report.n_queries}")
     print(f"  MR       {report.mr:10.3f}")
@@ -157,11 +133,11 @@ def _cmd_prepare(cfg, outdir: Path, args) -> int:
     dataset = _resolve_dataset(cfg)
     data_dir = outdir / "data"
     save_dataset(dataset, data_dir)
-    n_entities, n_relations, n_buckets = _vocab_sizes(dataset)
+    v = dataset.vocab
     print(f"dataset written to {data_dir}")
-    print(f"  entities     {n_entities}")
-    print(f"  relations    {n_relations}")
-    print(f"  time buckets {n_buckets}")
+    print(f"  entities     {v.n_entities}")
+    print(f"  relations    {v.n_relations}")
+    print(f"  time buckets {v.n_buckets}")
     print(f"  train/valid/test {len(dataset.train)}/{len(dataset.valid)}/{len(dataset.test)}")
     print(f"  digest {dataset.digest()}")
     return 0
@@ -175,8 +151,8 @@ def _cmd_train_teacher(cfg, outdir: Path, args) -> int:
     from .training import train_supervised
 
     dataset = _resolve_dataset(cfg)
-    n_entities, n_relations, n_buckets = _vocab_sizes(dataset)
-    params = init_params(cfg.backbone, cfg.teacher_dim, n_entities, n_relations, n_buckets, seed=cfg.seed)
+    v = dataset.vocab
+    params = init_params(cfg.backbone, cfg.teacher_dim, v.n_entities, v.n_relations, v.n_buckets, seed=cfg.seed)
     rng = np.random.default_rng(cfg.seed + 2)
     best, log = train_supervised(
         params,
@@ -193,9 +169,7 @@ def _cmd_train_teacher(cfg, outdir: Path, args) -> int:
         tie_policy=cfg.tie_policy,
     )
     ckpt = outdir / "teacher.ckpt"
-    save_checkpoint(
-        best, ckpt, dataset_digest=dataset.digest(), config_digest=cfg.digest(), n_buckets=n_buckets
-    )
+    save_checkpoint(best, ckpt, dataset_digest=dataset.digest(), config_digest=cfg.digest(), n_buckets=v.n_buckets)
     _write_jsonl(outdir / "train_teacher_log.jsonl", log)
     final_mrr = next((r["valid_mrr"] for r in reversed(log) if "valid_mrr" in r), None)
     print(f"teacher checkpoint written to {ckpt}")
@@ -213,21 +187,17 @@ def _cmd_distill(cfg, outdir: Path, args) -> int:
 
     dataset = _resolve_dataset(cfg)
     dataset_digest = dataset.digest()
-    n_entities, n_relations, n_buckets = _vocab_sizes(dataset)
+    v = dataset.vocab
     teacher_path = Path(args.teacher) if args.teacher else outdir / "teacher.ckpt"
-    teacher, header = load_checkpoint(
-        teacher_path,
-        expect_backbone=cfg.backbone,
-        expect_dim=cfg.teacher_dim,
-        dataset_digest=dataset_digest,
+    teacher, _ = load_checkpoint(
+        teacher_path, expect_backbone=cfg.backbone, expect_dim=cfg.teacher_dim, dataset_digest=dataset_digest, vocab=v
     )
-    _check_vocab(header, dataset, teacher_path)
     student = make_student(
         cfg.backbone,
         cfg.student_dim,
-        n_entities,
-        n_relations,
-        n_buckets,
+        v.n_entities,
+        v.n_relations,
+        v.n_buckets,
         seed=cfg.seed + 1,
         method=cfg.method,
         teacher_dim=cfg.teacher_dim,
@@ -255,9 +225,7 @@ def _cmd_distill(cfg, outdir: Path, args) -> int:
         if cache is not None:
             cache.close()
     ckpt = outdir / "student.ckpt"
-    save_checkpoint(
-        best.params, ckpt, dataset_digest=dataset_digest, config_digest=cfg.digest(), n_buckets=n_buckets
-    )
+    save_checkpoint(best.params, ckpt, dataset_digest=dataset_digest, config_digest=cfg.digest(), n_buckets=v.n_buckets)
     _write_jsonl(outdir / "distill_log.jsonl", log)
     calls = log[-1]["llm_calls"] if log else 0
     print(f"student checkpoint written to {ckpt}")
@@ -272,8 +240,7 @@ def _cmd_evaluate(cfg, outdir: Path, args) -> int:
     dataset = _resolve_dataset(cfg)
     dataset_digest = dataset.digest()
     ckpt_path = Path(args.checkpoint) if args.checkpoint else outdir / "student.ckpt"
-    params, header = load_checkpoint(ckpt_path, dataset_digest=dataset_digest)
-    _check_vocab(header, dataset, ckpt_path)
+    params, header = load_checkpoint(ckpt_path, dataset_digest=dataset_digest, vocab=dataset.vocab)
     report = evaluate(params, dataset, split=args.split, mode=cfg.eval_mode, tie_policy=cfg.tie_policy)
     _print_report(report, args.split)
     machine = {
@@ -327,11 +294,13 @@ def _cmd_cache_llm(cfg, outdir: Path, args) -> int:
     from .llm import ScoreCache, resolve_topk
 
     dataset = _resolve_dataset(cfg)
-    teacher_path = outdir / "teacher.ckpt"
-    teacher, header = load_checkpoint(
-        teacher_path, expect_backbone=cfg.backbone, expect_dim=cfg.teacher_dim, dataset_digest=dataset.digest()
+    teacher, _ = load_checkpoint(
+        outdir / "teacher.ckpt",
+        expect_backbone=cfg.backbone,
+        expect_dim=cfg.teacher_dim,
+        dataset_digest=dataset.digest(),
+        vocab=dataset.vocab,
     )
-    _check_vocab(header, dataset, teacher_path)
     handle = _make_llm_handle(cfg, teacher, dataset)
     if handle is None:
         raise ValueError("llm.mode is 'none'; nothing to cache")
@@ -356,8 +325,7 @@ def _cmd_export(cfg, outdir: Path, args) -> int:
 
     dataset = _resolve_dataset(cfg)
     ckpt_path = Path(args.checkpoint) if args.checkpoint else outdir / "student.ckpt"
-    params, header = load_checkpoint(ckpt_path, dataset_digest=dataset.digest())
-    _check_vocab(header, dataset, ckpt_path)
+    params, _ = load_checkpoint(ckpt_path, dataset_digest=dataset.digest(), vocab=dataset.vocab)
     dest = Path(args.dest) if args.dest else outdir / "embeddings.txt"
     export_embeddings(params, dataset.vocab, dest)
     print(f"embeddings written to {dest}")

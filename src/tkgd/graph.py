@@ -644,9 +644,14 @@ def _write_copy(vocab: Vocabulary, arrays: dict[str, np.ndarray], text_digest: s
     header_bytes = json.dumps(header, sort_keys=True).encode("utf-8")
     payload = b"".join(np.ascontiguousarray(arrays[split], dtype="<i8").tobytes() for split in SPLIT_NAMES)
     digest = hashlib.sha256(header_bytes + payload).digest()
+    _write_atomic(path, _COPY_MAGIC + len(header_bytes).to_bytes(4, "little") + header_bytes + payload + digest)
+
+
+def _write_atomic(path: Path, data: bytes) -> None:
+    """Write data to path through a temporary file, so a failed write leaves the old file as it was."""
     tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
     try:
-        tmp.write_bytes(_COPY_MAGIC + len(header_bytes).to_bytes(4, "little") + header_bytes + payload + digest)
+        tmp.write_bytes(data)
         os.replace(tmp, path)
     finally:
         tmp.unlink(missing_ok=True)

@@ -1,4 +1,5 @@
 """End-to-end pipeline tests driven through the command-line entry point."""
+import hashlib
 import json
 import logging
 import os
@@ -68,6 +69,18 @@ def _with(text, **overrides):
         lines.append(line)
     assert not overrides, f"keys not present in template: {sorted(overrides)}"
     return "\n".join(lines) + "\n"
+
+
+def _rewrite_header(path, edit):
+    """Apply edit to a checkpoint's JSON header in place and rewrite the content digest to match."""
+    blob = path.read_bytes()
+    n = int.from_bytes(blob[4:8], "little")
+    header = json.loads(blob[8 : 8 + n])
+    edit(header)
+    new = json.dumps(header, sort_keys=True).encode("utf-8")
+    payload = blob[8 + n : -32]
+    digest = hashlib.sha256(new + payload).digest()
+    path.write_bytes(blob[:4] + len(new).to_bytes(4, "little") + new + payload + digest)
 
 
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -383,25 +396,45 @@ class TestFailureModes:
     )
     def test_malformed_checkpoint_header_exits_cleanly(self, tmp_path, monkeypatch, capsys, edit, field):
         """A checkpoint whose digest holds but whose header lacks or mistypes a field is refused by name."""
-        import hashlib
-
         monkeypatch.chdir(tmp_path)
         cfg = _write(tmp_path)
         assert main(["train-teacher", "--config", cfg]) == 0
         path = tmp_path / "out" / "teacher.ckpt"
-        blob = path.read_bytes()
-        n = int.from_bytes(blob[4:8], "little")
-        header = json.loads(blob[8 : 8 + n])
-        edit(header)
-        new = json.dumps(header, sort_keys=True).encode("utf-8")
-        payload = blob[8 + n : -32]
-        digest = hashlib.sha256(new + payload).digest()
-        path.write_bytes(blob[:4] + len(new).to_bytes(4, "little") + new + payload + digest)
+        _rewrite_header(path, edit)
         capsys.readouterr()
         assert main(["evaluate", "--config", cfg, "--checkpoint", str(path)]) == 1
         err = capsys.readouterr().err
         errors = [line for line in err.splitlines() if line.startswith("error: ")]
         assert len(errors) == 1 and str(path) in errors[0] and field in errors[0], err
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize(
+        "backbone, tensor, shape",
+        [
+            ("ttranse", 0, [8, 12]),  # entity_emb transposed
+            ("ttranse", 1, [16]),  # relation_emb flattened
+            ("tadistmult", 0, [8, 12]),  # entity_emb transposed
+        ],
+    )
+    def test_checkpoint_shapes_off_the_header_sizes_exit_cleanly(
+        self, tmp_path, monkeypatch, capsys, backbone, tensor, shape
+    ):
+        """A digest-valid header whose tensor shapes disagree with its sizes is refused by name, never scored."""
+        monkeypatch.chdir(tmp_path)
+        cfg = _write(tmp_path, _with(BASE_CONFIG, backbone=backbone))
+        assert main(["train-teacher", "--config", cfg]) == 0
+        path = tmp_path / "out" / "teacher.ckpt"
+
+        def reshape(header):
+            assert np.prod(shape) == np.prod(header["tensors"][tensor][1])  # same byte count, so only shapes differ
+            header["tensors"][tensor][1] = shape
+
+        _rewrite_header(path, reshape)
+        capsys.readouterr()
+        assert main(["evaluate", "--config", cfg, "--checkpoint", str(path)]) == 1
+        err = capsys.readouterr().err
+        errors = [line for line in err.splitlines() if line.startswith("error: ")]
+        assert len(errors) == 1 and str(path) in errors[0] and "'tensors'" in errors[0], err
         assert "Traceback" not in err
 
     def test_single_entity_dataset_rejected(self, tmp_path, monkeypatch, capsys):

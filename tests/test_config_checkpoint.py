@@ -1,5 +1,7 @@
 """Config parsing/validation and the binary checkpoint format."""
 import logging
+import os
+import re
 from pathlib import Path
 
 import numpy as np
@@ -8,7 +10,7 @@ import pytest
 from tkgd.checkpoint import CheckpointError, export_embeddings, load_checkpoint, save_checkpoint
 from tkgd.config import ConfigError, parse_config
 from tkgd.graph import Vocabulary
-from tkgd.models import GATES, init_params
+from tkgd.models import GATES, TADistMultParams, init_params
 
 GATE_SLICE_CKPT = Path(__file__).parent / "fixtures" / "tadistmult_gates.ckpt"
 
@@ -186,6 +188,63 @@ class TestCheckpointRoundTrip:
             loaded, _ = load_checkpoint(path, dataset_digest="b" * 64)
         assert loaded is not None
         assert any("different dataset" in rec.message for rec in caplog.records)
+
+
+class TestCheckpointContract:
+    def test_save_refuses_bucket_count_off_the_time_table(self, tmp_path):
+        params = init_params("ttranse", 4, 5, 2, 3, seed=0)
+        path = tmp_path / "m.ckpt"
+        with pytest.raises(ValueError, match="time_emb"):
+            save_checkpoint(params, path, n_buckets=4)
+        assert not path.exists()
+
+    def test_save_refuses_relation_count_off_the_token_table(self, tmp_path):
+        good = init_params("tadistmult", 3, 4, 2, 2, seed=0)
+        params = TADistMultParams(*good.tables().values(), n_relations=3)
+        path = tmp_path / "m.ckpt"
+        with pytest.raises(ValueError, match="token_emb"):
+            save_checkpoint(params, path)
+        assert not path.exists()
+
+    @pytest.mark.parametrize(
+        "vocab, message",
+        [
+            (Vocabulary([f"e{i}" for i in range(6)], ["r0", "r1"], [1, 2, 3]), "5 entities, 2 relations"),
+            (Vocabulary([f"e{i}" for i in range(5)], ["r0"], [1, 2, 3]), "5 entities, 1 relations"),
+            (Vocabulary([f"e{i}" for i in range(5)], ["r0", "r1"], [1, 2]), "dataset (2 time buckets)"),
+        ],
+    )
+    def test_load_refuses_a_vocabulary_of_other_counts(self, tmp_path, vocab, message):
+        path = tmp_path / "m.ckpt"
+        save_checkpoint(init_params("ttranse", 4, 5, 2, 3, seed=0), path)
+        with pytest.raises(CheckpointError, match=re.escape(str(path)) + ".*" + re.escape(message)):
+            load_checkpoint(path, vocab=vocab)
+
+    def test_load_accepts_a_matching_vocabulary(self, tmp_path):
+        vocab = Vocabulary([f"e{i}" for i in range(5)], ["r0", "r1"], [1, 2, 3])
+        path = tmp_path / "m.ckpt"
+        save_checkpoint(init_params("ttranse", 4, 5, 2, 3, seed=0), path)
+        loaded, _ = load_checkpoint(path, vocab=vocab)
+        assert loaded.time_emb.shape == (3, 4)
+        # tadistmult embeds digits, not buckets, so only the entity and relation counts must agree
+        save_checkpoint(init_params("tadistmult", 4, 5, 2, 3, seed=0), path, n_buckets=3)
+        other_buckets = Vocabulary(vocab.entity_names, vocab.relation_names, [1, 2, 3, 4, 5])
+        loaded, _ = load_checkpoint(path, vocab=other_buckets)
+        assert loaded.n_relations == 2
+
+    def test_failed_save_keeps_the_old_file(self, tmp_path, monkeypatch):
+        path = tmp_path / "m.ckpt"
+        save_checkpoint(init_params("ttranse", 4, 5, 2, 3, seed=0), path)
+        before = path.read_bytes()
+
+        def interrupted(src, dst):
+            raise OSError("interrupted")
+
+        monkeypatch.setattr(os, "replace", interrupted)
+        with pytest.raises(OSError, match="interrupted"):
+            save_checkpoint(init_params("ttranse", 4, 5, 2, 3, seed=1), path)
+        assert path.read_bytes() == before
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["m.ckpt"]
 
 
 class TestGateSliceLayout:
