@@ -5,9 +5,12 @@ tab-separated with entity and relation names as opaque strings and times as
 calendar tokens; everything downstream works on contiguous integer ids.
 
 Datasets are built column-wise: a split file becomes name columns and a year
-array, each distinct time token is parsed once, names map to ids through one
-lookup per column and years to buckets through one searchsorted
-(Vocabulary.buckets_for_years, the only year-to-bucket mapping).  Facts are
+array, and each distinct time token is parsed once.  Ids are assigned once, on
+integer code columns (_assign_ids): parsed names are coded first, synthetic
+facts and save_dataset's reload bring their own codes.  Years map to buckets
+through one searchsorted (Vocabulary.buckets_for_years, the only year-to-bucket
+mapping).  Synthetic facts are read from the seed's PCG64 words in bulk, every
+attempt a chunk of words can start at once (generate_synthetic).  Facts are
 also addressed by integer keys over (E, R, B), the entity, relation and bucket
 counts: duplicate rows are found by key, and KnownFacts, the filtered-ranking
 index, is two sorted key arrays read a block of queries at a time, so every
@@ -25,6 +28,7 @@ from __future__ import annotations
 import hashlib
 import json
 import logging
+import math
 import os
 import re
 from dataclasses import dataclass, field
@@ -445,27 +449,48 @@ def _read_split_file(path: Path, schema: LoadSchema) -> _SplitColumns:
     return _SplitColumns(*names, years[usable])
 
 
-def _build_dataset(
-    columns: dict[str, _SplitColumns],
-    rule: SyntheticRule | None = None,
-    origin: str = "dataset",
-) -> Dataset:
-    """Assemble a Dataset from the three splits' name columns, ids as _assign_ids gives them.
+# One split as integer columns: subject, relation and object codes, int64 years.
+_CodeColumns = tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]
 
-    Duplicate quadruples dropped from a split are reported with a warning.
-    """
-    vocab, arrays, dropped = _assign_ids(columns, origin)
+
+def _name_codes(columns: dict[str, _SplitColumns]) -> tuple[list[_CodeColumns], Callable, Callable]:
+    """The splits as code columns, a name's code its dict.fromkeys position, and the code -> name lookups."""
+    splits = [columns[name] for name in SPLIT_NAMES]
+    entities = list(dict.fromkeys(chain.from_iterable(chain(c.subjects, c.objects) for c in splits)))
+    relations = list(dict.fromkeys(chain.from_iterable(c.relations for c in splits)))
+    entity, relation = ({name: i for i, name in enumerate(names)}.__getitem__ for names in (entities, relations))
+    code = (entity, relation, entity)
+    codes = [(*(np.fromiter(map(f, col), np.int64, len(col)) for f, col in zip(code, c[:3])), c.years) for c in splits]
+    return codes, entities.__getitem__, relations.__getitem__
+
+
+def _build_dataset(
+    codes: list[_CodeColumns], entity_name: Callable, relation_name: Callable, rule: SyntheticRule | None, origin: str
+) -> Dataset:
+    """A Dataset from the three splits' code columns, ids as _assign_ids gives them; dropped rows warn."""
+    vocab, arrays, dropped = _assign_ids(codes, entity_name, relation_name, origin)
     for split in SPLIT_NAMES:
         if dropped[split]:
             logger.warning("%s: dropped %d duplicate quadruples from %s split", origin, dropped[split], split)
     return Dataset(vocab=vocab, train=arrays["train"], valid=arrays["valid"], test=arrays["test"], rule=rule)
 
 
+def _first_appearance(codes: np.ndarray, name: Callable[[int], str]) -> tuple[np.ndarray, list[str]]:
+    """Ids numbering the non-negative codes from 0 in order of first appearance, and the names by id."""
+    # in the smallest unsigned type, up to 65 536 codes take NumPy's radix sort (4.9 -> 1.0 ms, 40k codes below 500)
+    narrow = codes.astype(np.min_scalar_type(codes.max(initial=0)))
+    distinct, first, inverse = np.unique(narrow, return_index=True, return_inverse=True)
+    order = np.argsort(first)
+    return np.argsort(order)[inverse], list(map(name, distinct[order].tolist()))
+
+
 def _assign_ids(
-    columns: dict[str, _SplitColumns], origin: str
+    codes: list[_CodeColumns], entity_name: Callable[[int], str], relation_name: Callable[[int], str], origin: str
 ) -> tuple[Vocabulary, dict[str, np.ndarray], dict[str, int]]:
     """The vocabulary, the (n, 4) id arrays and the duplicate rows dropped per split.
 
+    codes holds the train, valid and test columns; entity_name and
+    relation_name name each code, distinct names for distinct codes.
     Entity and relation ids follow first appearance scanning train, valid,
     test in that order, subject before object within a row.  Time buckets
     come from training years only; later splits clamp through
@@ -474,33 +499,24 @@ def _assign_ids(
     integer key ((s * R + p) * E + o) * B + t, and a vocabulary whose keys
     would overflow int64 raises DataError.
     """
-    splits = [columns[name] for name in SPLIT_NAMES]
-    if len(splits[0].years) == 0:
+    if len(codes[0][3]) == 0:
         raise DataError(f"{origin}: training split is empty")
-
-    subject_then_object = chain.from_iterable(chain.from_iterable(zip(c.subjects, c.objects)) for c in splits)
-    vocab = Vocabulary(
-        entity_names=list(dict.fromkeys(subject_then_object)),
-        relation_names=list(dict.fromkeys(chain.from_iterable(c.relations for c in splits))),
-        time_buckets=sorted_unique(splits[0].years).tolist(),
-    )
+    subject_then_object = np.concatenate([np.column_stack((s, o)).ravel() for s, _, o, _ in codes])
+    entity_ids, entity_names = _first_appearance(subject_then_object, entity_name)
+    relation_ids, relation_names = _first_appearance(np.concatenate([p for _, p, _, _ in codes]), relation_name)
+    vocab = Vocabulary(entity_names, relation_names, sorted_unique(codes[0][3]).tolist())
     n_e, n_r, n_b = vocab.n_entities, vocab.n_relations, vocab.n_buckets
     _check_key_range(n_e, n_r, n_b)
-    entity_id, relation_id = vocab._entity_ids.__getitem__, vocab._relation_ids.__getitem__
 
-    arrays: dict[str, np.ndarray] = {}
-    dropped: dict[str, int] = {}
-    for split, c in zip(SPLIT_NAMES, splits):
-        n = len(c.years)
-        quads = np.empty((n, 4), dtype=np.int64)
-        quads[:, 0] = np.fromiter(map(entity_id, c.subjects), np.int64, n)
-        quads[:, 1] = np.fromiter(map(relation_id, c.relations), np.int64, n)
-        quads[:, 2] = np.fromiter(map(entity_id, c.objects), np.int64, n)
-        quads[:, 3] = vocab.buckets_for_years(c.years)
+    bounds = np.cumsum([len(c[3]) for c in codes])[:-1]
+    pairs, relations = np.split(entity_ids.reshape(-1, 2), bounds), np.split(relation_ids, bounds)
+    arrays, dropped = {}, {}
+    for split, so, rel, (_, _, _, years) in zip(SPLIT_NAMES, pairs, relations, codes):
+        quads = np.column_stack((so[:, 0], rel, so[:, 1], vocab.buckets_for_years(years)))
         s, p, o, t = quads.T
-        _, first = np.unique(((s * n_r + p) * n_e + o) * n_b + t, return_index=True)
-        dropped[split] = n - len(first)
-        arrays[split] = quads[np.sort(first)] if dropped[split] else quads
+        key = ((s * n_r + p) * n_e + o) * n_b + t
+        dropped[split] = len(quads) - len(sorted_unique(key))
+        arrays[split] = quads[np.sort(np.unique(key, return_index=True)[1])] if dropped[split] else quads
     return vocab, arrays, dropped
 
 
@@ -521,32 +537,18 @@ def load_quadruples(path: str | Path, schema: LoadSchema | None = None) -> Datas
         raise DataError(f"dataset directory not found: {root}")
     cached = _read_copy(root) if _reads_written_columns(schema) else None
     columns: dict[str, _SplitColumns] = {}
-    if cached is None:
-        for split in SPLIT_NAMES:
-            fpath = root / f"{split}.txt"
-            if not fpath.is_file():
-                raise DataError(f"missing split file: {fpath}")
-            columns[split] = _read_split_file(fpath, schema)
-
-    rule = None
+    for split in SPLIT_NAMES if cached is None else ():
+        fpath = root / f"{split}.txt"
+        if not fpath.is_file():
+            raise DataError(f"missing split file: {fpath}")
+        columns[split] = _read_split_file(fpath, schema)
     rule_path = root / "rule.json"
-    if rule_path.is_file():
-        rule = SyntheticRule.from_json(rule_path.read_bytes(), source=str(rule_path))
-
-    if cached is None:
-        ds = _build_dataset(columns, rule=rule, origin=str(root))
-    else:
-        ds = cached
-        ds.rule = rule
+    rule = SyntheticRule.from_json(rule_path.read_bytes(), source=str(rule_path)) if rule_path.is_file() else None
+    ds = _build_dataset(*_name_codes(columns), rule, str(root)) if cached is None else cached
+    ds.rule = rule
     logger.info(
         "loaded %s: %d entities, %d relations, %d buckets, %d/%d/%d facts",
-        root,
-        ds.vocab.n_entities,
-        ds.vocab.n_relations,
-        ds.vocab.n_buckets,
-        len(ds.train),
-        len(ds.valid),
-        len(ds.test),
+        root, ds.vocab.n_entities, ds.vocab.n_relations, ds.vocab.n_buckets, len(ds.train), len(ds.valid), len(ds.test)
     )
     return ds
 
@@ -556,42 +558,43 @@ def save_dataset(dataset: Dataset, path: str | Path) -> None:
 
     Reloading the written directory reproduces identical ids and counts,
     because first-appearance order is preserved fact for fact.  The copy holds
-    exactly what parsing the written text gives: the written columns go
-    through _assign_ids, as parsed columns do in _build_dataset.  When the
+    exactly what parsing the written text gives: the dataset's ids, names and
+    written years go through _assign_ids, as parsed columns do.  When the
     reload would drop rows (a split repeating a row, or rows that meet in one
     training bucket), no copy is written and an older one is removed.  The
     rule is written to rule.json; without one, an older rule.json is removed,
-    so a reload never carries a rule the data does not have.  A name
-    containing a tab or a line break, or a bucket year that does not read back
-    as a year, cannot be written faithfully and raises DataError before
-    anything is written.
+    so a reload never carries a rule the data does not have.  Each file is
+    replaced whole (_write_atomic).  A name containing a tab or a line break,
+    or a bucket year that does not read back as a year, cannot be written
+    faithfully and raises DataError before anything is written.
     """
     root = Path(path)
     vocab = dataset.vocab
     _check_writable(vocab)
-    entities, relations = vocab.entity_names, vocab.relation_names
     years = np.asarray(vocab.time_buckets, dtype=np.int64)
-    columns: dict[str, _SplitColumns] = {}
+    # each column's cell text by id: one fancy index per column gives a split's lines
+    entity, relation, year = (
+        np.array([f"{x}{end}" for x in values], dtype=object)
+        for values, end in ((vocab.entity_names, "\t"), (vocab.relation_names, "\t"), (vocab.time_buckets, "\n"))
+    )
+    codes: list[_CodeColumns] = []
     texts: list[bytes] = []
-    for split in SPLIT_NAMES:
-        quads = dataset.split(split)
-        s, p, o = quads[:, :3].T.tolist()
-        c = columns[split] = _SplitColumns(
-            [entities[i] for i in s], [relations[i] for i in p], [entities[i] for i in o], years[quads[:, 3]]
-        )
-        lines = map("{}\t{}\t{}\t{}\n".format, c.subjects, c.relations, c.objects, c.years.tolist())
-        texts.append("".join(lines).encode("utf-8"))
+    for s, p, o, t in (dataset.split(split).T for split in SPLIT_NAMES):
+        codes.append((s, p, o, years[t]))
+        lines = np.column_stack((entity[s], relation[p], entity[o], year[t]))
+        texts.append("".join(lines.ravel().tolist()).encode("utf-8"))
 
     root.mkdir(parents=True, exist_ok=True)
     for split, text in zip(SPLIT_NAMES, texts):
-        (root / f"{split}.txt").write_bytes(text)
+        _write_atomic(root / f"{split}.txt", text)
     rule_path = root / "rule.json"
     if dataset.rule is not None:
-        rule_path.write_text(dataset.rule.to_json(), encoding="utf-8")
+        _write_atomic(rule_path, dataset.rule.to_json().encode("utf-8"))
     else:
         rule_path.unlink(missing_ok=True)
     copy_path = root / COPY_NAME
-    reloaded, arrays, dropped = _assign_ids(columns, str(root))
+    names = vocab.entity_names.__getitem__, vocab.relation_names.__getitem__
+    reloaded, arrays, dropped = _assign_ids(codes, *names, str(root))
     if any(dropped.values()):
         copy_path.unlink(missing_ok=True)
     else:
@@ -798,34 +801,23 @@ def _split_buckets_by_share(
     return set(ordered[: cut1 + 1]), set(ordered[cut1 + 1 : cut2 + 1]), set(ordered[cut2 + 1 :])
 
 
-_RAW_CHUNK = 1024
+def _pcg64_draws(next_word: Callable[[], int], half: int) -> tuple[Callable, Callable, Callable]:
+    """Scalar draws from a PCG64 word stream: (integers, random, buffered).
 
-
-def _pcg64_draws(rng: np.random.Generator) -> tuple[Callable[[int], int], Callable[[], float]]:
-    """Scalar draws read from a PCG64 Generator's raw words: (integers, random).
-
-    integers(n) and random() return what rng.integers(0, n) and rng.random()
-    would return next, bit for bit, as Python int and float, without a
-    Generator call per draw.  The words come from bit_generator.random_raw in
-    chunks of _RAW_CHUNK, so rng itself must not be drawn from afterwards.
-
-    This is NumPy's own arithmetic (distributions.c), which the tests compare
-    against the live Generator:
+    next_word gives the next 64-bit word as a Python int; half is the 32-bit
+    half buffered before the first draw, and buffered() the one buffered now
+    (-1 for none).  On a Generator's words and state, integers(n) and random()
+    give what Generator.integers(0, n) and Generator.random() would, bit for
+    bit, by NumPy's arithmetic (distributions.c), tested against the Generator:
     - For n <= 2**32, Lemire's bounded integer on a 32-bit value x: m = x * n,
       redrawn while m mod 2**32 < (2**32 - n) % n, result m >> 32.  The 32-bit
-      values are the low and then the high half of each word; the half that
-      rng's last 32-bit draw left buffered (state "has_uint32"/"uinteger")
+      values are the low and then the high half of each word; a buffered half
       comes first.  n == 1 draws nothing.
     - For n > 2**32, the same on whole words modulo 2**64.
     - random() is (word >> 11) * 2**-53 and leaves a buffered half alone.
     The threshold is below n, so it is only computed when m mod 2**32 (or
     2**64) is below n.
     """
-    bit_generator = rng.bit_generator
-    state = bit_generator.state
-    half = int(state["uinteger"]) if state["has_uint32"] else -1  # -1: no half buffered
-    chunks = map(bit_generator.random_raw, repeat(_RAW_CHUNK))
-    next_word = chain.from_iterable(map(np.ndarray.tolist, chunks)).__next__
 
     def integers(n: int) -> int:
         nonlocal half
@@ -852,16 +844,107 @@ def _pcg64_draws(rng: np.random.Generator) -> tuple[Callable[[int], int], Callab
     def random() -> float:
         return (next_word() >> 11) * 2.0**-53
 
-    return integers, random
+    return integers, random, lambda: half
+
+
+def _attempt_table(
+    words: np.ndarray, bounds: tuple[int, int, int], offsets: np.ndarray, coin_below: int, key_type
+) -> tuple[np.ndarray, np.ndarray]:
+    """The attempt from every start state in words: (next state, fact key ((s * R + p) * E + o) * B + t).
+
+    bounds is (E, R, B).  State h reads halves[h] next, halves being each
+    word's low then high half, so an odd h holds the high half of word h // 2
+    buffered; words[0] only lends that half.  The next state is -1 where the
+    table cannot read the attempt: a draw NumPy would redraw, a bound above
+    2**32, or an end past the last word or with a buffered half left pending.
+    """
+    h = np.arange(2 * len(words))
+    halves = np.concatenate([np.column_stack((words & 0xFFFF_FFFF, words >> 32)).ravel(), np.zeros(6, np.uint64)])
+    coins = np.concatenate([np.repeat(words >> 11 < coin_below, 2), np.zeros(3, bool)])
+    n_e, n_r, n_b = (np.asarray(min(n, 2**63), dtype=np.uint64) for n in bounds)  # all above 2**32 redraw alike
+    c = int(bounds[1] > 1) + int(bounds[2] > 1)  # halves drawn before the coin
+
+    def read(offset: int, values: np.ndarray = halves) -> np.ndarray:  # values[h + offset], 0 past the end
+        return values[offset : offset + len(h)]
+
+    def draw(n, x):  # integers(n) on the halves x, and where NumPy would redraw; a bound of 1 gives 0
+        m = x * n
+        return m >> 32, (n > 0x1_0000_0000) | ((m & 0xFFFF_FFFF) < (0x1_0000_0000 - n) % n)
+
+    p, bad = draw(n_r, read(0))
+    t, bad_t = draw(n_b, read(int(bounds[1] > 1)))
+    coin = read(c + 1, coins)  # word (h + c + 1) // 2
+    pending = (h + c) & 1 == 1  # a half buffered at the coin, drawn first after it
+    first = np.where(pending, read(c), read(c + 2))
+    shift = offsets.astype(np.uint64)[p]
+    s_pat, bad_pat = draw(n_e - shift, first)
+    s, bad_s = draw(n_e, first)
+    o, bad_o = draw(n_e, read(c + 3))
+    drawn = np.where(coin, n_e - shift > 1, 2 * (n_e > 1))
+    end = h + c + 2 + drawn
+    bad |= bad_t | np.where(coin, bad_pat, bad_s | bad_o) | (pending & (drawn == 0)) | (end >= len(h))
+    s, p, o, t = (x.astype(key_type) for x in (np.where(coin, s_pat, s), p, np.where(coin, s_pat + shift, o), t))
+    return np.where(bad, -1, end), ((s * bounds[1] + p) * bounds[0] + o) * bounds[2] + t
+
+
+def _draw_facts(rng: np.random.Generator, n_facts: int, bounds: tuple, offsets: np.ndarray, strength: float):
+    """The first n_facts distinct (s, p, o, t) that generate_synthetic's attempts draw from rng, as an array."""
+    n_e, n_r, n_b = bounds
+    state = rng.bit_generator.state
+    half = int(state["uinteger"]) if state["has_uint32"] else -1
+    shifts = offsets.tolist()
+    key_type = np.int64 if n_e * n_e * n_r * n_b <= np.iinfo(np.int64).max else object
+    words, pos, h = np.zeros(0, dtype=np.uint64), 0, None  # h: the table state; None: a new chunk at (pos, half)
+
+    def next_word() -> int:
+        nonlocal words, pos
+        if pos == len(words):
+            words = np.concatenate([words, rng.bit_generator.random_raw(64)])
+        pos += 1
+        return int(words[pos - 1])
+
+    max_attempts = 200 * n_facts + 1000
+    seen, attempts = {}, 0
+    while len(seen) < n_facts:
+        if attempts == max_attempts:
+            raise DataError(
+                f"could not place {n_facts} unique facts after {max_attempts} draws; lower n_facts or raise the "
+                "vocabulary sizes (at pattern_strength near 1 only patterned facts are drawn, a much smaller pool "
+                "than the full cross product)"
+            )
+        if h is None:  # about 3.3 words per fact still missing (an attempt reads 2.6 at the benchmark's shapes)
+            size, unread = min(4096, max(256, math.ceil(3.3 * (n_facts - len(seen))))), words[pos:]
+            fresh = rng.bit_generator.random_raw(max(size - len(unread), 0))
+            words = np.concatenate([np.array([max(half, 0) << 32], dtype=np.uint64), unread, fresh])
+            table, keys = _attempt_table(words, bounds, offsets, math.ceil(strength * 2.0**53), key_type)
+            pos, end, nxt, h = 1, len(words), memoryview(table), 1 if half >= 0 else 2
+        path = []
+        while (following := nxt[h]) >= 0:  # memoryview: Python ints without a list of every state
+            path.append(h)
+            h = following
+        if path:
+            del path[max_attempts - attempts :]
+            attempts += len(path)
+            seen.update(dict.fromkeys(keys[path].tolist()))
+            continue
+        pos = (h + 1) >> 1
+        integers, random, buffered = _pcg64_draws(next_word, int(words[h >> 1]) >> 32 if h & 1 else -1)
+        p, t = integers(n_r), integers(n_b)
+        if random() < strength:
+            s = integers(n_e - shifts[p])
+            o = s + shifts[p]
+        else:
+            s, o = integers(n_e), integers(n_e)
+        seen[((s * n_r + p) * n_e + o) * n_b + t] = None
+        attempts += 1
+        half = buffered()
+        h = 2 * pos - (half >= 0) if pos < end and half in (-1, int(words[pos - 1]) >> 32) else None
+    keys = np.array(list(seen)[:n_facts], dtype=key_type)
+    return np.column_stack((keys // (n_r * n_e * n_b), keys // (n_e * n_b) % n_r, keys // n_b % n_e, keys % n_b))
 
 
 def generate_synthetic(
-    n_entities: int,
-    n_relations: int,
-    n_buckets: int,
-    n_facts: int,
-    pattern_strength: float,
-    seed: int,
+    n_entities: int, n_relations: int, n_buckets: int, n_facts: int, pattern_strength: float, seed: int
 ) -> Dataset:
     """Generate a dataset with a planted per-relation pattern.
 
@@ -875,12 +958,18 @@ def generate_synthetic(
     extrapolative.  Years are 1900 + bucket index.
 
     Nothing stores a synthetic dataset between commands: each one regenerates
-    it from the seed.  After the vectorized offsets draw, the per-fact draws
-    come from _pcg64_draws, which reads the seed's PCG64 words itself and
-    reproduces Generator.integers and Generator.random bit for bit, so a
-    seed gives the same dataset as one Generator call per draw did.  The
-    tests compare it with the live Generator, so a NumPy change to those
-    methods fails them.
+    it from the seed, so a seed must give the same dataset as one Generator
+    call per draw did.  After the vectorized offsets draw, each attempt draws
+    p and t, the coin random() < pattern_strength, then s, or s and o; the
+    first n_facts distinct facts are kept, and 200 * n_facts + 1000 attempts
+    without them raise DataError.  _draw_facts reads the seed's PCG64 words
+    in chunks of about 3.3 per fact still missing, and _attempt_table reads
+    the attempt from every start state of a chunk in bulk.  A short loop
+    follows the next states from the Generator's state; the few attempts
+    the table cannot read (a redraw, a bound above 2**32, an end outside the
+    chunk) go through _pcg64_draws, the scalar reader, from the same state.
+    The tests compare both readers with the live Generator and the old
+    per-draw loop, so a NumPy change to those methods fails them.
     """
     if min(n_entities, n_relations, n_buckets, n_facts) < 1:
         raise DataError("entity, relation, bucket and fact counts must all be positive")
@@ -891,53 +980,10 @@ def generate_synthetic(
         raise DataError(f"requested {n_facts} facts but only {capacity} distinct quadruples exist")
 
     rng = np.random.default_rng(seed)
-    if n_entities > 1:
-        offsets = rng.integers(1, min(6, n_entities), size=n_relations)
-    else:
-        offsets = np.zeros(n_relations, dtype=np.int64)
-    rule = SyntheticRule(
-        n_entities=n_entities,
-        offsets={f"r{j}": int(offsets[j]) for j in range(n_relations)},
-    )
+    offsets = rng.integers(1, min(6, n_entities), size=n_relations) if n_entities > 1 else np.zeros(n_relations, int)
+    rule = SyntheticRule(n_entities=n_entities, offsets={f"r{j}": int(offsets[j]) for j in range(n_relations)})
 
-    integers, random = _pcg64_draws(rng)
-    shifts = offsets.tolist()
-    seen: set[tuple[int, int, int, int]] = set()
-    facts: list[tuple[int, int, int, int]] = []
-    attempts = 0
-    max_attempts = 200 * n_facts + 1000
-    while len(facts) < n_facts:
-        attempts += 1
-        if attempts > max_attempts:
-            raise DataError(
-                f"could not place {n_facts} unique facts after {max_attempts} draws; "
-                "lower n_facts or raise the vocabulary sizes (at pattern_strength "
-                "near 1 only patterned facts are drawn, a much smaller pool than "
-                "the full cross product)"
-            )
-        p = integers(n_relations)
-        t = integers(n_buckets)
-        if random() < pattern_strength:
-            a = shifts[p]
-            s = integers(n_entities - a)
-            o = s + a
-        else:
-            s = integers(n_entities)
-            o = integers(n_entities)
-        quad = (s, p, o, t)
-        if quad in seen:
-            continue
-        seen.add(quad)
-        facts.append(quad)
-
-    facts_arr = np.asarray(facts, dtype=np.int64)
-    bucket_ids, counts = np.unique(facts_arr[:, 3], return_counts=True)
-    columns: dict[str, _SplitColumns] = {}
-    split_buckets = _split_buckets_by_share(dict(zip(bucket_ids.tolist(), counts.tolist())))
-    for split, buckets in zip(SPLIT_NAMES, split_buckets):
-        s, p, o, t = facts_arr[np.isin(facts_arr[:, 3], sorted(buckets))].T
-        columns[split] = _SplitColumns(
-            [f"e{i}" for i in s.tolist()], [f"r{j}" for j in p.tolist()], [f"e{i}" for i in o.tolist()], 1900 + t
-        )
-
-    return _build_dataset(columns, rule=rule, origin=f"synthetic(seed={seed})")
+    facts = _draw_facts(rng, n_facts, (n_entities, n_relations, n_buckets), offsets, pattern_strength)
+    splits = _split_buckets_by_share(dict(zip(*(a.tolist() for a in np.unique(facts[:, 3], return_counts=True)))))
+    codes = [(s, p, o, 1900 + t) for s, p, o, t in (facts[np.isin(facts[:, 3], sorted(b))].T for b in splits)]
+    return _build_dataset(codes, SyntheticRule.entity_name, "r{}".format, rule, f"synthetic(seed={seed})")

@@ -122,6 +122,11 @@ def make_query(quad, slot: str, candidate_ids: np.ndarray, vocab: Vocabulary) ->
     fit one prompt.  Names are flattened to single lines, once per
     vocabulary, so the line protocol of the answer stays parseable.
     """
+    return _query(quad, slot, vocab, *_render_prompt(quad, slot, candidate_ids, vocab))
+
+
+def _render_prompt(quad, slot: str, candidate_ids: np.ndarray, vocab: Vocabulary) -> tuple[str, list[int]]:
+    """make_query's prompt text and candidate ids, after its checks on slot and candidates."""
     if slot not in ("subject", "object"):
         raise ValueError(f"slot must be 'subject' or 'object', got {slot!r}")
     candidate_ids = np.asarray(candidate_ids, dtype=np.int64)
@@ -132,7 +137,6 @@ def make_query(quad, slot: str, candidate_ids: np.ndarray, vocab: Vocabulary) ->
     ids = candidate_ids.tolist()
     s, p, o, t = map(int, quad)
     flat_entities, flat_relations = _flat_names(vocab)
-    names = vocab.entity_names
     year = vocab.time_buckets[t]
     numbered = "\n".join([f"{i}. {flat_entities[c]}" for i, c in enumerate(ids, start=1)])
     prompt = (
@@ -145,13 +149,19 @@ def make_query(quad, slot: str, candidate_ids: np.ndarray, vocab: Vocabulary) ->
         f"Candidates:\n{numbered}\n"
         'Reply with one line per candidate, formatted "<index>: <integer score>". No other text.'
     )
+    return prompt, ids
+
+
+def _query(quad, slot: str, vocab: Vocabulary, prompt: str, ids: list[int]) -> LlmQuery:
+    """The LlmQuery of a prompt _render_prompt gave for these arguments."""
+    s, p, o, t = map(int, quad)
     return LlmQuery(
-        subject="?" if slot == "subject" else names[s],
+        subject="?" if slot == "subject" else vocab.entity_names[s],
         relation=vocab.relation_names[p],
-        object="?" if slot == "object" else names[o],
-        year=int(year),
+        object="?" if slot == "object" else vocab.entity_names[o],
+        year=int(vocab.time_buckets[t]),
         slot=slot,
-        candidates=tuple([names[c] for c in ids]),
+        candidates=tuple([vocab.entity_names[c] for c in ids]),
         prompt=prompt,
         prompt_hash=hashlib.sha256(prompt.encode("utf-8")).hexdigest(),
     )
@@ -472,18 +482,20 @@ def score_query(
 ) -> LlmResult:
     """Scores for one query, through the cache when one is given.
 
-    Cache hits never touch the handle.  Unparseable responses fall back to
+    Cache hits never touch the handle, and only render the prompt for its
+    cache key; the LlmQuery is built on a miss.  Unparseable responses fall back to
     uniform midpoint scores with usable = False so downstream losses can skip
     them; the failure is cached to keep replays deterministic.  A cached
     record whose scores are neither None nor a list of one number per
     candidate raises LlmError.
     """
-    lq = make_query(quad, slot, candidate_ids, vocab)
-    key = cache_key(handle.model_id, lq.prompt)
+    prompt, ids = _render_prompt(quad, slot, candidate_ids, vocab)
+    key = cache_key(handle.model_id, prompt)
     record = cache.get(key) if cache is not None else None
     cached = record is not None
-    n = len(lq.candidates)
+    n = len(ids)
     if record is None:
+        lq = _query(quad, slot, vocab, prompt, ids)
         text = handle.complete(lq)
         parsed = parse_scores(text, n)
         if parsed is None:

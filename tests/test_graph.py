@@ -468,6 +468,29 @@ class TestBinaryCopy:
         self._assert_same(got, want)
         assert got[0].digest() == mini_dataset.digest()
 
+    def test_vocabulary_out_of_first_appearance_order(self, small_synth, tmp_path, caplog, monkeypatch):
+        # reversed entity and relation names, ids remapped: the same facts, other ids
+        ds = small_synth
+        v = ds.vocab
+        flip = np.array([v.n_entities - 1, v.n_relations - 1, v.n_entities - 1, 0])
+        sign = np.array([-1, -1, -1, 1])
+        vocab = Vocabulary(v.entity_names[::-1], v.relation_names[::-1], v.time_buckets)
+        reversed_ds = Dataset(vocab=vocab, rule=ds.rule, **{name: flip + sign * ds.split(name) for name in SPLIT_NAMES})
+        save_dataset(reversed_ds, tmp_path / "d")
+        got, want = self._copy_and_text(tmp_path / "d", caplog, monkeypatch)
+        self._assert_same(got, want)
+        assert got[0].digest() == ds.digest()
+
+    def test_vocabulary_name_no_split_uses(self, small_synth, tmp_path, caplog, monkeypatch):
+        ds = small_synth
+        v = ds.vocab
+        vocab = Vocabulary(v.entity_names + ["unused"], ["unused"] + v.relation_names, v.time_buckets)
+        splits = {name: ds.split(name) + [0, 1, 0, 0] for name in SPLIT_NAMES}
+        save_dataset(Dataset(vocab=vocab, rule=ds.rule, **splits), tmp_path / "d")
+        got, want = self._copy_and_text(tmp_path / "d", caplog, monkeypatch)
+        self._assert_same(got, want)
+        assert got[0].digest() == ds.digest()
+
     def test_truncated_splits_lose_entities_and_buckets(self, small_synth, tmp_path, caplog, monkeypatch):
         ds = small_synth
         train = ds.train[ds.train[:, 3] != ds.vocab.n_buckets - 1][:6]
@@ -599,6 +622,32 @@ class TestBinaryCopy:
         assert caplog.records == []
         ds, log = _load_logged(caplog, root)
         assert len(ds.valid) == 1 and "dropped 1 duplicate quadruples from valid split" in log[0]
+
+
+class TestAtomicSave:
+    def test_failed_save_leaves_every_file_whole(self, small_synth, mini_dataset, tmp_path, monkeypatch):
+        # a save that fails while replacing its second file keeps the old bytes of every file not yet replaced
+        root = tmp_path / "d"
+        save_dataset(small_synth, root)
+        before = {p.name: p.read_bytes() for p in root.iterdir()}
+        replaced, real = [], graph.os.replace
+
+        def failing_replace(src, dst):
+            if replaced:
+                raise OSError("disk full")
+            replaced.append(Path(dst).name)
+            real(src, dst)
+
+        monkeypatch.setattr(graph.os, "replace", failing_replace)
+        with pytest.raises(OSError, match="disk full"):
+            save_dataset(mini_dataset, root)
+        after = {p.name: p.read_bytes() for p in root.iterdir()}
+        assert sorted(after) == sorted(before)
+        assert replaced == ["train.txt"]
+        assert after["train.txt"] != before["train.txt"]
+        assert {name: after[name] for name in after if name not in replaced} == {
+            name: before[name] for name in before if name not in replaced
+        }
 
 
 class TestSaveRefusals:

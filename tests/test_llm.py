@@ -399,6 +399,22 @@ class TestScoreQuery:
         assert second.cached is True
         assert np.array_equal(first.scores, second.scores)
 
+    def test_cache_hit_builds_no_query(self, tiny_vocab, monkeypatch):
+        # a hit renders the prompt for its key and builds no LlmQuery; the checks still run
+        handle = _CannedTeacher("1: 10\n2: 20")
+        cache = ScoreCache()
+        cands = np.array([0, 1])
+        first = score_query(handle, (0, 0, 1, 0), "subject", cands, tiny_vocab, cache=cache)
+        record = cache.get(cache_key("canned", make_query((0, 0, 1, 0), "subject", cands, tiny_vocab).prompt))
+        assert record["prompt_hash"] == make_query((0, 0, 1, 0), "subject", cands, tiny_vocab).prompt_hash
+        monkeypatch.setattr(llm, "LlmQuery", None)
+        again = score_query(handle, (0, 0, 1, 0), "subject", cands, tiny_vocab, cache=cache)
+        assert again.cached and again.scores.tolist() == first.scores.tolist() == [10.0, 20.0]
+        with pytest.raises(ValueError, match="candidate list is empty"):
+            score_query(handle, (0, 0, 1, 0), "subject", cands[:0], tiny_vocab, cache=cache)
+        with pytest.raises(ValueError, match="slot must be"):
+            score_query(handle, (0, 0, 1, 0), "both", cands, tiny_vocab, cache=cache)
+
     def test_parse_failure_fallback_and_caching(self, tiny_vocab):
         handle = _CannedTeacher("no scores in here at all")
         cache = ScoreCache()

@@ -1,19 +1,23 @@
 """generate_synthetic reads its seed's PCG64 words itself; pin it to the Generator.
 
-The reader in graph._pcg64_draws reproduces Generator.integers(0, n) and
-Generator.random() from raw words.  These tests compare it with the live
+The scalar reader in graph._pcg64_draws reproduces Generator.integers(0, n)
+and Generator.random() from raw words, and graph._attempt_table reads whole
+attempts from them in bulk.  These tests compare the reader with the live
 Generator, so a NumPy change to either method fails here, and compare
 generate_synthetic with its former per-draw loop, kept below as the oracle.
 """
+from itertools import chain, repeat
+
 import numpy as np
 import pytest
 
+from tkgd import graph
 from tkgd.graph import (
     SPLIT_NAMES,
     DataError,
     SyntheticRule,
-    _RAW_CHUNK,
     _build_dataset,
+    _name_codes,
     _pcg64_draws,
     _split_buckets_by_share,
     _SplitColumns,
@@ -79,14 +83,17 @@ def reference_generate_synthetic(n_entities, n_relations, n_buckets, n_facts, pa
             [f"e{i}" for i in s.tolist()], [f"r{j}" for j in p.tolist()], [f"e{i}" for i in o.tolist()], 1900 + t
         )
 
-    return _build_dataset(columns, rule=rule, origin=f"synthetic(seed={seed})")
+    return _build_dataset(*_name_codes(columns), rule=rule, origin=f"synthetic(seed={seed})")
 
 
 # (n_entities, n_relations, n_buckets, n_facts, pattern_strength): one and two
 # entities (offsets of 0 and 1, the pattern's subject range a single value),
 # odd relation counts (the offsets draw leaves a 32-bit half buffered), one
-# bucket, both extreme strengths, and more than 2**32 entities (entity draws
-# take whole words; only the entities drawn enter the vocabulary).
+# bucket, both extreme strengths, more than 2**32 entities (entity draws take
+# whole words; only the entities drawn enter the vocabulary), 2**31 + 1
+# entities (entity draws redraw about half the time, and fact keys leave
+# int64), bounds of 1 for relations and buckets, and enough facts that the
+# walk crosses chunks.
 SHAPES = [
     (1, 3, 4, 12, 0.5),
     (2, 1, 5, 18, 0.7),
@@ -98,6 +105,9 @@ SHAPES = [
     (20, 4, 2, 150, 0.0),
     (50, 7, 10, 400, 0.9),
     (2**33, 3, 2, 6, 0.5),
+    (2**31 + 1, 3, 4, 40, 0.5),
+    (40, 1, 1, 300, 0.9),
+    (50, 4, 10, 6000, 0.9),
 ]
 
 
@@ -126,11 +136,51 @@ class TestAgainstPerDrawLoop:
         assert str(got.value) == str(want.value)
 
 
+class TestBulkWalk:
+    """The table reads every attempt it can; the scalar reader draws only the rest."""
+
+    @pytest.fixture
+    def counts(self, monkeypatch):
+        """Calls of the scalar reader (one per scalar attempt) and of the table (one per chunk)."""
+        counts = {"scalar": 0, "chunks": 0}
+        for name, kind in (("_pcg64_draws", "scalar"), ("_attempt_table", "chunks")):
+            real = getattr(graph, name)
+
+            def counted(*args, _real=real, _kind=kind):
+                counts[_kind] += 1
+                return _real(*args)
+
+            monkeypatch.setattr(graph, name, counted)
+        return counts
+
+    def test_typical_shape_reads_the_table(self, counts):
+        # a chunk ends in an attempt that runs past its last word, and only that one is scalar
+        generate_synthetic(500, 20, 50, 20000, 0.9, seed=1)
+        assert counts["chunks"] > 1
+        assert counts["scalar"] <= counts["chunks"]
+
+    def test_redraws_go_to_the_scalar_reader(self, counts):
+        # 40 facts take at least 40 attempts, so fewer scalar ones leave some to the table
+        generate_synthetic(2**31 + 1, 3, 4, 40, 0.5, seed=1)
+        assert 0 < counts["scalar"] < 40
+
+
+WORD_CHUNK = 1024
+
+
+def generator_words(rng):
+    """rng's raw words as a next_word source, drawn WORD_CHUNK at a time, and its buffered half."""
+    state = rng.bit_generator.state
+    words = chain.from_iterable(map(np.ndarray.tolist, map(rng.bit_generator.random_raw, repeat(WORD_CHUNK))))
+    return words.__next__, int(state["uinteger"]) if state["has_uint32"] else -1
+
+
 def drawn_pairs(seed, ns, n_draws, buffered):
     """(reader, Generator) values for n_draws interleaved draws.
 
     n cycles through ns; every third draw is random().  With buffered, a
     vectorized integers() of odd length first leaves a 32-bit half behind.
+    The reader's buffered half must end as the Generator's.
     """
     live = np.random.default_rng(seed)
     copy = np.random.default_rng(seed)
@@ -138,7 +188,7 @@ def drawn_pairs(seed, ns, n_draws, buffered):
         live.integers(1, 6, size=3)
         copy.integers(1, 6, size=3)
         assert copy.bit_generator.state["has_uint32"] == 1
-    integers, random = _pcg64_draws(copy)
+    integers, random, held = _pcg64_draws(*generator_words(copy))
     got, want = [], []
     for i in range(n_draws):
         if i % 3 == 2:
@@ -148,15 +198,17 @@ def drawn_pairs(seed, ns, n_draws, buffered):
             n = ns[i % len(ns)]
             got.append(integers(n))
             want.append(int(live.integers(0, n)))
+    state = live.bit_generator.state
+    assert held() == (state["uinteger"] if state["has_uint32"] else -1)
     return got, want
 
 
 class TestReaderAgainstGenerator:
     @pytest.mark.parametrize("buffered", [False, True])
     def test_small_bounds(self, buffered):
-        # random() alone reads _RAW_CHUNK words here, so the draws cross chunks
+        # random() alone reads WORD_CHUNK words here, so the draws cross chunks
         for seed in (0, 5, 1009):
-            got, want = drawn_pairs(seed, [1, 2, 50, 1, 7], 3 * _RAW_CHUNK + 3, buffered)
+            got, want = drawn_pairs(seed, [1, 2, 50, 1, 7], 3 * WORD_CHUNK + 3, buffered)
             assert all(type(v) is float for v in got[2::3])
             assert got == want
 
