@@ -288,9 +288,8 @@ def _read_query_file(path: Path, vocab):
 def _cmd_cache_llm(cfg, outdir: Path, args) -> int:
     from contextlib import closing
 
-    import numpy as np
-
     from .checkpoint import load_checkpoint
+    from .distill import phase2_queries
     from .llm import ScoreCache, resolve_topk
 
     dataset = _resolve_dataset(cfg)
@@ -307,9 +306,7 @@ def _cmd_cache_llm(cfg, outdir: Path, args) -> int:
     if args.queries:
         quads, slots = _read_query_file(Path(args.queries), dataset.vocab)
     else:
-        # the queries distillation issues: each training fact, subject then object
-        quads = np.repeat(dataset.train, 2, axis=0)
-        slots = ["subject", "object"] * len(dataset.train)
+        quads, slots = phase2_queries(dataset.train)
 
     with closing(ScoreCache(outdir / "llm_cache.jsonl")) as cache:
         _, _, _, hits = resolve_topk(

@@ -32,8 +32,8 @@ from .models import (
     Params,
     batch_candidate_backprop,
     batch_candidate_scores,
+    encode_queries,
     init_params,
-    pair_encoding,
 )
 from .numerics import (
     ParamTensor,
@@ -56,6 +56,7 @@ __all__ = [
     "fitnet_hint_loss",
     "rkd_loss",
     "minmax_normalize",
+    "phase2_queries",
     "distill_run",
 ]
 
@@ -401,6 +402,11 @@ def _align_rows(
     return lam * loss
 
 
+def phase2_queries(train: np.ndarray) -> tuple[np.ndarray, list[str]]:
+    """The queries phase 2 resolves: each training fact, subject slot then object slot."""
+    return np.repeat(train, 2, axis=0), ["subject", "object"] * len(train)
+
+
 def _phase2_targets(
     teacher: Params, dataset: Dataset, llm_handle, llm_cache, topk: int, batch_size: int
 ) -> tuple[tuple[np.ndarray, np.ndarray, np.ndarray], dict]:
@@ -410,16 +416,9 @@ def _phase2_targets(
     flags), each indexed [train row, slot] with slot 0 the subject, and the
     resolving epoch's llm_hits, llm_misses and llm_unusable counts.
     """
-    train = dataset.train
+    quads, slots = phase2_queries(dataset.train)
     cand, llm_scores, usable, hits = llm_mod.resolve_topk(
-        llm_handle,
-        teacher,
-        dataset.vocab,
-        np.repeat(train, 2, axis=0),
-        ["subject", "object"] * len(train),
-        topk,
-        batch_size,
-        cache=llm_cache,
+        llm_handle, teacher, dataset.vocab, quads, slots, topk, batch_size, cache=llm_cache
     )
     llm_norm, _ = minmax_normalize(llm_scores)
     k = cand.shape[1]
@@ -458,10 +457,10 @@ def distill_run(
     each training query's top-llm_topk shortlist and its language-model
     scores are resolved once per run, at the first phase-2 epoch: without a
     cache the handle is called once per query per run, and phase 1 never
-    calls it.  Each batch encodes the (relation, bucket) pairs of the teacher
-    and of the student once (models.pair_encoding): the student's encoding
-    serves both slots' scores and backprops, since its parameters change only
-    when the batch's gradients are applied.  The student snapshot with the
+    calls it.  Each batch encodes its queries for the teacher and for the
+    student once (models.encode_queries): the student's record serves both
+    slots' scores and backprops, since its parameters change only when the
+    batch's gradients are applied.  The student snapshot with the
     best validation MRR is returned (the final state when the validation
     split is empty or never evaluated).
     One log record per epoch: epoch, phase, method, train_loss (the mean
@@ -506,12 +505,12 @@ def distill_run(
             m = len(quads)
             grads = GradAccum(student.params)
             batch_loss = 0.0
-            t_encoding = pair_encoding(teacher, vocab, quads)
-            s_encoding = pair_encoding(student.params, vocab, quads)
+            t_encoding = encode_queries(teacher, vocab, quads)
+            s_encoding = encode_queries(student.params, vocab, quads)
 
             for si, slot in enumerate(("subject", "object")):
-                t_scores = batch_candidate_scores(teacher, vocab, quads, slot, t_encoding)
-                s_scores = batch_candidate_scores(student.params, vocab, quads, slot, s_encoding)
+                t_scores = batch_candidate_scores(teacher, t_encoding, slot)
+                s_scores = batch_candidate_scores(student.params, s_encoding, slot)
                 gts = quads[:, 0] if slot == "subject" else quads[:, 2]
                 d_scores = np.zeros_like(s_scores)
 
@@ -533,7 +532,7 @@ def distill_run(
                         batch_loss += term
 
                 d_scores /= 2.0 * m  # queries per batch: both slots
-                batch_candidate_backprop(student.params, vocab, quads, slot, d_scores, grads, s_encoding)
+                batch_candidate_backprop(student.params, s_encoding, slot, d_scores, grads)
 
             batch_loss /= 2.0 * m
             n_queries += 2 * m

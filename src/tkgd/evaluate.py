@@ -7,8 +7,8 @@ first removes candidates that complete a different known fact.
 evaluate() scores the split in row blocks with batch_candidate_scores, the
 scorer training uses, and ranks each block at once through rank_of, masked in
 filtered mode by KnownFacts.keep_mask, a sorted-key lookup of every row's known
-completions.  A block's (relation, bucket) pairs are encoded once and that
-encoding scores both of its corrupted slots.  brute_force_oracle shares none
+completions.  A block's queries are encoded once (encode_queries) and that
+record scores both of its corrupted slots.  brute_force_oracle shares none
 of that path, its known-fact set included, and is the independent check.
 """
 from __future__ import annotations
@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .graph import SPLIT_NAMES, Dataset, DataError
-from .models import Params, batch_candidate_scores, pair_encoding, score_quadruple
+from .models import Params, batch_candidate_scores, encode_queries, score_quadruple
 
 __all__ = ["RankingReport", "rank_of", "evaluate", "brute_force_oracle"]
 
@@ -119,8 +119,8 @@ def _query_ranks(
 ) -> np.ndarray:
     """Ranks in row order, the subject slot before the object slot.
 
-    Each block of rows is encoded once (pair_encoding, None for ttranse), and
-    that encoding serves both slots' batch_candidate_scores.
+    Each block of rows is encoded once (encode_queries), on either backbone,
+    and that record serves both slots' batch_candidate_scores.
     """
     facts = dataset.split(split)
     if len(facts) == 0:
@@ -132,9 +132,9 @@ def _query_ranks(
     block_rows = max(1, _BLOCK_SCORES // vocab.n_entities)
     for lo in range(0, len(facts), block_rows):
         quads = facts[lo : lo + block_rows]
-        encoding = pair_encoding(params, vocab, quads)
+        encoding = encode_queries(params, vocab, quads)
         for col, (slot, truth) in enumerate((("subject", quads[:, 0]), ("object", quads[:, 2]))):
-            scores = batch_candidate_scores(params, vocab, quads, slot, encoding)
+            scores = batch_candidate_scores(params, encoding, slot)
             keep = dataset.known.keep_mask(quads, slot, vocab.n_entities) if mode == "filtered" else None
             ranks[lo : lo + len(quads), col] = rank_of(scores, truth, tie_policy, keep)
     return ranks.ravel()

@@ -969,10 +969,13 @@ def generate_synthetic(
     the table cannot read (a redraw, a bound above 2**32, an end outside the
     chunk) go through _pcg64_draws, the scalar reader, from the same state.
     The tests compare both readers with the live Generator and the old
-    per-draw loop, so a NumPy change to those methods fails them.
+    per-draw loop, so a NumPy change to those methods fails them.  Counts
+    above 2**63, the largest high Generator.integers(0, high) takes, raise.
     """
     if min(n_entities, n_relations, n_buckets, n_facts) < 1:
         raise DataError("entity, relation, bucket and fact counts must all be positive")
+    if max(n_entities, n_relations, n_buckets) > 2**63:
+        raise DataError("entity, relation and bucket counts must be at most 2**63, the largest bound NumPy draws below")
     if not (0.0 <= pattern_strength <= 1.0):
         raise DataError(f"pattern_strength must lie in [0, 1], got {pattern_strength}")
     capacity = n_entities * n_entities * n_relations * n_buckets

@@ -21,7 +21,7 @@ from pathlib import Path
 import numpy as np
 
 from .graph import DataError, SyntheticRule, Vocabulary
-from .models import Params, batch_candidate_scores, pair_encoding, score_quadruple
+from .models import Params, batch_candidate_scores, encode_queries, score_quadruple
 
 logger = logging.getLogger(__name__)
 
@@ -535,7 +535,8 @@ def resolve_topk(
 
     Query i asks for slot slots[i] of quads[i].  The teacher scores the
     queries in blocks of `block` rows, which bounds the scorer's temporaries.
-    A block is encoded once (models.pair_encoding) and scored per slot, and
+    A block is encoded once (models.encode_queries; on ttranse the record
+    holds both slots' distances, asked for or not) and scored per slot, and
     each row keeps the k best candidates of its slot in stable order.  Every
     query then goes through score_query in row order, so the cache sees the
     same lookups and writes as one query at a time would give.  Returns the
@@ -552,12 +553,11 @@ def resolve_topk(
     hits = 0
     for lo in range(0, n, block):
         hi = min(lo + block, n)
-        block_quads = quads[lo:hi]
-        encoding = pair_encoding(teacher, vocab, block_quads)
+        encoding = encode_queries(teacher, vocab, quads[lo:hi])
         for slot in ("subject", "object"):
             sel = np.flatnonzero(slots[lo:hi] == slot)
             if sel.size:
-                t_scores = batch_candidate_scores(teacher, vocab, block_quads, slot, encoding)[sel]
+                t_scores = batch_candidate_scores(teacher, encoding, slot)[sel]
                 candidates[lo + sel] = np.argsort(-t_scores, axis=1, kind="stable")[:, :k]
         for i in range(lo, hi):
             result = score_query(handle, quad_rows[i], slot_names[i], candidates[i], vocab, cache=cache)

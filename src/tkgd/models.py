@@ -10,12 +10,14 @@ order.  The encoder input depends only on the (relation, bucket) pair, so
 batched scoring and training run the LSTM once per distinct pair in the batch,
 all pairs as one (n, L) token batch.  Pairs are found through the integer key
 relation * B + bucket and tokenized in one array step; ta_tokenize is the
-per-pair reference.  The encoding does not depend on the corrupted slot, so a
-caller that scores both slots of the same rows, or scores and then backprops
-them before the parameters change, takes it once from pair_encoding and
-passes it to batch_candidate_scores and batch_candidate_backprop.  Sparse row
-gradients, the per-pair hidden-state gradients included, accumulate through
-numerics.scatter_add_rows.
+per-pair reference.  Both backbones reach the batch scorers through one
+contract: encode_queries checks the query ids once and returns a
+QueryEncoding, the checked quads plus the backbone's parts (the pair
+encoding, or both slots' translation distances).  batch_candidate_scores and
+batch_candidate_backprop read only that record, so a caller that scores both
+slots of the same rows and backprops them before the parameters change
+encodes once.  Sparse row gradients, the per-pair hidden-state gradients
+included, accumulate through numerics.scatter_add_rows.
 
 All gradients in this file are written out by hand; there is no autodiff
 anywhere.  Every backward path is validated against central finite
@@ -40,7 +42,7 @@ __all__ = [
     "lstm_backward",
     "score_quadruple",
     "score_candidates",
-    "pair_encoding",
+    "encode_queries",
     "batch_candidate_scores",
     "batch_candidate_backprop",
     "supervised_gradients",
@@ -211,9 +213,12 @@ class LstmCache:
     h: np.ndarray  # (..., L, d) hidden state after each step
 
 
-# What _encode_pairs returns: the (m, d) per-row sequence states, the forward
-# cache over the distinct (relation, bucket) pairs, and each row's pair index.
-PairEncoding = tuple[np.ndarray, LstmCache, np.ndarray]
+@dataclass(frozen=True)
+class QueryEncoding:
+    """encode_queries' record: the checked (m, 4) quads and the backbone's parts."""
+
+    quads: np.ndarray
+    parts: tuple  # _encode_pairs' result, or _ttranse_distances' for the subject slot, then the object slot
 
 
 def _sigmoid(x: np.ndarray) -> np.ndarray:
@@ -322,8 +327,7 @@ def _ttranse_fixed_part(params: TTransEParams, quads: np.ndarray, slot: str) -> 
 
 def score_candidates(params: Params, cs: CandidateSet, vocab: Vocabulary) -> np.ndarray:
     """Scores for one query over its candidate list: a row of batch_candidate_scores."""
-    query = np.asarray(cs.query, dtype=np.int64)
-    return batch_candidate_scores(params, vocab, query[None], cs.slot)[0, cs.candidates]
+    return batch_candidate_scores(params, encode_queries(params, vocab, cs.query), cs.slot)[0, cs.candidates]
 
 
 class GradAccum:
@@ -413,52 +417,46 @@ def _ttranse_distances(
     return f, e, np.sqrt(sq)
 
 
-def pair_encoding(params: Params, vocab: Vocabulary, quads: np.ndarray) -> PairEncoding | None:
-    """The encoding of quads' (relation, bucket) pairs that the batch scorers accept.
+def encode_queries(params: Params, vocab: Vocabulary, quads: np.ndarray) -> QueryEncoding:
+    """The record batch_candidate_scores and batch_candidate_backprop read.
 
-    It is _encode_pairs' result for the recurrent backbone, whose ids are
-    checked as in batch_candidate_scores, and None for the translation
-    backbone, which has no encoder.  It stays valid for the same quads until
+    quads, reshaped to (m, 4), are checked once: an entity, relation or
+    bucket id outside the vocabulary raises ValueError.  The recurrent
+    backbone encodes the (relation, bucket) pairs (_encode_pairs); the
+    translation backbone computes both slots' distances up front, an (m, |E|)
+    float64 array per slot, so a caller that scores one slot only pays for
+    the other too.  The record serves both slots' scores and backprops until
     params change.
     """
-    if params.backbone == "ttranse":
-        return None
     quads = np.asarray(quads, dtype=np.int64).reshape(-1, 4)
     _check_ids(vocab, quads)
-    return _encode_pairs(params, vocab, quads)
+    if params.backbone == "ttranse":
+        return QueryEncoding(quads, tuple(_ttranse_distances(params, quads, slot) for slot in ("subject", "object")))
+    return QueryEncoding(quads, _encode_pairs(params, vocab, quads))
 
 
-def batch_candidate_scores(
-    params: Params,
-    vocab: Vocabulary,
-    quads: np.ndarray,
-    slot: str,
-    encoding: PairEncoding | None = None,
-) -> np.ndarray:
+def batch_candidate_scores(params: Params, encoding: QueryEncoding, slot: str) -> np.ndarray:
     """Scores of every entity as a candidate for each query, shape (m, |E|).
 
-    Matches per-candidate scoring through score_quadruple up to floating
-    point roundoff.  The translation backbone expands |f - e|^2 into
+    encoding is encode_queries' record for the same params.  Matches
+    per-candidate scoring through score_quadruple up to floating point
+    roundoff.  The translation backbone expands |f - e|^2 into
     |f|^2 - 2 f.e + |e|^2 and accumulates it in float64 (_ttranse_distances),
     so the only float32 rounding is the fixed part and the final cast;
-    distances below about 1e-6 of the norms score exactly zero.  An entity,
-    relation or bucket id outside the vocabulary raises ValueError.
-    encoding, pair_encoding(params, vocab, quads), is used in place of
-    encoding the pairs again; without it they are encoded here.
+    distances below about 1e-6 of the norms score exactly zero.
     """
-    quads = np.asarray(quads, dtype=np.int64).reshape(-1, 4)
-    _check_ids(vocab, quads)
+    quads = encoding.quads
     ent = params.entity_emb.values
     if params.backbone == "ttranse":
-        _, _, dist = _ttranse_distances(params, quads, slot)
+        _, _, dist = encoding.parts[1 if slot == "object" else 0]
         return (-dist).astype(ent.dtype)
-    pseqs, _, _ = encoding if encoding is not None else _encode_pairs(params, vocab, quads)
+    pseqs, _, _ = encoding.parts
     fixed_idx = quads[:, 0] if slot == "object" else quads[:, 2]
     w = ent[fixed_idx] * pseqs
     return w @ ent.T
 
 
-def _encode_pairs(params: TADistMultParams, vocab: Vocabulary, quads: np.ndarray) -> PairEncoding:
+def _encode_pairs(params: TADistMultParams, vocab: Vocabulary, quads: np.ndarray) -> tuple:
     """Sequence states of each row's (relation, bucket) pair.
 
     The LSTM runs once, on the batch of distinct pairs, taken in ascending
@@ -491,29 +489,21 @@ def _backprop_pairs(
 
 
 def batch_candidate_backprop(
-    params: Params,
-    vocab: Vocabulary,
-    quads: np.ndarray,
-    slot: str,
-    dscores: np.ndarray,
-    grads: GradAccum,
-    encoding: PairEncoding | None = None,
+    params: Params, encoding: QueryEncoding, slot: str, dscores: np.ndarray, grads: GradAccum
 ) -> None:
     """Chain dL/dscores (m, |E|) into parameter gradients.
 
     The scores are the ones produced by batch_candidate_scores for the same
-    (quads, slot); gradients accumulate into grads.  Ids and encoding are
-    treated as there.
+    (encoding, slot); gradients accumulate into grads.
     """
-    quads = np.asarray(quads, dtype=np.int64).reshape(-1, 4)
-    _check_ids(vocab, quads)
+    quads = encoding.quads
     dscores = np.asarray(dscores)
     ent = params.entity_emb.values
 
     if params.backbone == "ttranse":
         # score = -|f - e|, so with w = dscores / dist (zero at zero distance)
         # df = -sum_j w_j (f - e_j) and de_j = sum_q w_qj (f_q - e_j)
-        f, e, dist = _ttranse_distances(params, quads, slot)
+        f, e, dist = encoding.parts[1 if slot == "object" else 0]
         w = np.divide(dscores, dist, out=np.zeros_like(dist), where=dist > 0)
         grad_fixed = (w @ e - w.sum(axis=1)[:, None] * f).astype(ent.dtype)
         grad_ent = (w.T @ f - w.sum(axis=0)[:, None] * e).astype(ent.dtype)
@@ -529,7 +519,7 @@ def batch_candidate_backprop(
         return
 
     # recurrent backbone: score[q, j] = sum_k ent[fixed_q] * ent[j] * pseq_q
-    pseqs, cache, inverse = encoding if encoding is not None else _encode_pairs(params, vocab, quads)
+    pseqs, cache, inverse = encoding.parts
     fixed_idx = quads[:, 0] if slot == "object" else quads[:, 2]
     fixed_emb = ent[fixed_idx]
     w = fixed_emb * pseqs  # (m, d)

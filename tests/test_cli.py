@@ -353,6 +353,25 @@ class TestFailureModes:
         assert "error:" in err and "time buckets" in err
         assert "Traceback" not in err
 
+    def test_entity_count_numpy_cannot_draw(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        cfg = _write(tmp_path, _with(BASE_CONFIG, n_entities=str(2**70)))
+        capsys.readouterr()
+        assert main(["prepare", "--config", cfg]) == 1
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1 and err.startswith("error: ") and "2**63" in err
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("key, value", [("method", "nope"), ("phase1_epochs", "-1"), ("phase2_epochs", "-1")])
+    def test_bad_distill_setting(self, tmp_path, monkeypatch, capsys, key, value):
+        monkeypatch.chdir(tmp_path)
+        cfg = _write(tmp_path, _with(BASE_CONFIG, **{key: value}))
+        capsys.readouterr()
+        assert main(["prepare", "--config", cfg]) == 1
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1 and err.startswith("error: distill: ")
+        assert "Traceback" not in err
+
     @pytest.mark.parametrize(
         "blob, problem",
         [

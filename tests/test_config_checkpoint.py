@@ -138,6 +138,21 @@ class TestPhaseDerivation:
         assert cfg.distill_phases() == (2, 9)
 
 
+class TestDistillChecks:
+    """distill.method and the phase counts are checked once, by DistillConfig."""
+
+    @pytest.mark.parametrize(
+        "line, problem",
+        [("method = nope", "unknown distillation method 'nope'"),
+         ("phase1_epochs = -1", "must be nonnegative"),
+         ("phase2_epochs = -1", "must be nonnegative")],
+    )
+    def test_reported_under_distill(self, tmp_path, line, problem):
+        with pytest.raises(ConfigError, match=r"^distill: ") as err:
+            parse_config(_write_config(tmp_path, MINIMAL + f"\n[distill]\n{line}\n"))
+        assert problem in str(err.value)
+
+
 class TestConfigDigest:
     def test_stable_for_equal_configs(self, tmp_path):
         a = parse_config(_write_config(tmp_path, MINIMAL, name="a.ini"))

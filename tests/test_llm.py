@@ -33,7 +33,7 @@ from tkgd.llm import (
     resolve_topk,
     score_query,
 )
-from tkgd.models import TTransEParams, batch_candidate_scores, init_params, score_quadruple
+from tkgd.models import TTransEParams, batch_candidate_scores, encode_queries, init_params, score_quadruple
 from tkgd.numerics import ParamTensor
 
 
@@ -470,7 +470,7 @@ class TestResolveTopk:
         )
         ref_cache, ref = ScoreCache(), []
         for quad, slot in zip(quads, slots):
-            teacher_scores = batch_candidate_scores(teacher, vocab, quad[None], slot)[0]
+            teacher_scores = batch_candidate_scores(teacher, encode_queries(teacher, vocab, quad), slot)[0]
             top = np.argsort(-teacher_scores, kind="stable")[:5]
             ref.append((top, score_query(handle, quad, slot, top, vocab, cache=ref_cache)))
         assert np.array_equal(cands, [top for top, _ in ref])
@@ -500,7 +500,7 @@ class TestResolveTopk:
         slots = ["subject", "object"] * 7
         ref = []
         for quad, slot in zip(quads, slots):
-            teacher_scores = batch_candidate_scores(teacher, vocab, quad[None], slot)[0]
+            teacher_scores = batch_candidate_scores(teacher, encode_queries(teacher, vocab, quad), slot)[0]
             ref.append(np.argsort(-teacher_scores, kind="stable")[:5])
         forwards = []
         original = models_module.lstm_forward

@@ -2,6 +2,7 @@
 import numpy as np
 import pytest
 
+import tkgd.models as models
 from tkgd.graph import Vocabulary, build_candidates
 from tkgd.models import (
     GATES,
@@ -9,13 +10,14 @@ from tkgd.models import (
     TADistMultParams,
     TTransEParams,
     _encode_pairs,
+    _ttranse_distances,
     _ttranse_fixed_part,
     batch_candidate_backprop,
     batch_candidate_scores,
+    encode_queries,
     init_params,
     lstm_backward,
     lstm_forward,
-    pair_encoding,
     score_candidates,
     score_quadruple,
     supervised_gradients,
@@ -34,6 +36,16 @@ def _vocab(n_entities, n_relations, years):
 
 def _tensor(rows):
     return ParamTensor(np.asarray(rows, dtype=np.float64))
+
+
+def _scores(params, vocab, quads, slot):
+    """batch_candidate_scores through a fresh encode_queries record."""
+    return batch_candidate_scores(params, encode_queries(params, vocab, quads), slot)
+
+
+def _backprop(params, vocab, quads, slot, dscores, grads):
+    """batch_candidate_backprop through a fresh encode_queries record."""
+    batch_candidate_backprop(params, encode_queries(params, vocab, quads), slot, dscores, grads)
 
 
 def _zeroed_lstm(params: TADistMultParams) -> TADistMultParams:
@@ -214,13 +226,13 @@ class TestEncodePairs:
         quads[1, col] = bad
         message = f"{'relation' if col == 1 else 'bucket'} id {bad} outside"
         with pytest.raises(ValueError, match=message):
-            batch_candidate_scores(params, vocab, quads, "object")
+            encode_queries(params, vocab, quads)
         with pytest.raises(ValueError, match=message):
             supervised_gradients(params, vocab, quads[:1], quads[1:][None])
 
 
 class TestIdRangeCheck:
-    """Every entity, relation and bucket id is checked on both backbones, in all three entry points."""
+    """Every entity, relation and bucket id is checked on both backbones, in both entry points."""
 
     # (column, out-of-range id, kind) for a vocabulary of 4 entities, 3 relations and 4 buckets
     CASES = [(0, -1, "entity"), (0, 4, "entity"), (2, -1, "entity"), (2, 4, "entity"),
@@ -235,9 +247,7 @@ class TestIdRangeCheck:
         quads[1, col] = bad
         message = f"{kind} id {bad} outside"
         with pytest.raises(ValueError, match=message):
-            batch_candidate_scores(params, vocab, quads, "object")
-        with pytest.raises(ValueError, match=message):
-            batch_candidate_backprop(params, vocab, quads, "subject", np.zeros((2, 4)), GradAccum(params))
+            encode_queries(params, vocab, quads)
         with pytest.raises(ValueError, match=message):
             supervised_gradients(params, vocab, quads[:1], quads[1:][None])
         with pytest.raises(ValueError, match=message):
@@ -248,7 +258,7 @@ class TestIdRangeCheck:
         vocab = _vocab(4, 3, [1900, 1910, 1920, 1930])
         params = init_params(backbone, 4, 4, 3, 4, seed=0, dtype=np.float64)
         quads = np.array([[0, 0, 3, 0], [3, 2, 0, 3]])
-        assert np.isfinite(batch_candidate_scores(params, vocab, quads, "object")).all()
+        assert np.isfinite(_scores(params, vocab, quads, "object")).all()
         loss, _ = supervised_gradients(params, vocab, quads[:1], quads[1:][None])
         assert np.isfinite(loss)
 
@@ -402,7 +412,7 @@ class TestCandidateScoring:
             ],
             axis=1,
         )
-        scores = batch_candidate_scores(params, vocab, quads, slot)
+        scores = _scores(params, vocab, quads, slot)
         assert scores.shape == (5, 6)
         for row, (s, p, o, t) in enumerate(quads):
             for j in range(6):
@@ -416,41 +426,77 @@ class TestCandidateScoring:
         params64 = params32.astype(np.float64)
         vocab = _vocab(12, 3, [1900, 1910, 1920])
         quads = np.array([[0, 0, 1, 0], [4, 2, 9, 2], [11, 1, 3, 1]])
-        s32 = batch_candidate_scores(params32, vocab, quads, "object")
-        s64 = batch_candidate_scores(params64, vocab, quads, "object")
+        s32 = _scores(params32, vocab, quads, "object")
+        s64 = _scores(params64, vocab, quads, "object")
         assert np.max(np.abs(s32.astype(np.float64) - s64)) < 1e-5
 
 
-class TestPairEncodingSharing:
-    """A precomputed pair_encoding must change no bit of the scores or the gradients."""
+class TestQueryEncoding:
+    """One encode_queries record serves both slots' scores and backprops on either backbone."""
 
-    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
-    def test_same_bits_on_both_slots(self, rng, dtype):
-        params = init_params("tadistmult", 6, 9, 3, 4, seed=21, dtype=dtype)
+    @staticmethod
+    def _setup(backbone, dtype, rng):
+        params = init_params(backbone, 6, 9, 3, 4, seed=21, dtype=dtype)
         vocab = _vocab(9, 3, [1900, 1910, 1925, 2001])
         quads = np.stack([rng.integers(9, size=40), rng.integers(3, size=40),
                           rng.integers(9, size=40), rng.integers(4, size=40)], axis=1)
-        encoding = pair_encoding(params, vocab, quads)
+        return params, vocab, quads
+
+    @pytest.mark.parametrize("backbone", ["ttranse", "tadistmult"])
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_same_bits_on_both_slots(self, rng, dtype, backbone):
+        params, vocab, quads = self._setup(backbone, dtype, rng)
+        encoding = encode_queries(params, vocab, quads)
         own, shared = GradAccum(params), GradAccum(params)
         for slot in ("subject", "object"):
-            scores = batch_candidate_scores(params, vocab, quads, slot)
-            assert batch_candidate_scores(params, vocab, quads, slot, encoding).tobytes() == scores.tobytes()
+            scores = _scores(params, vocab, quads, slot)
+            assert batch_candidate_scores(params, encoding, slot).tobytes() == scores.tobytes()
             dscores = rng.normal(size=scores.shape).astype(dtype)
-            batch_candidate_backprop(params, vocab, quads, slot, dscores, own)
-            batch_candidate_backprop(params, vocab, quads, slot, dscores, shared, encoding)
+            _backprop(params, vocab, quads, slot, dscores, own)
+            batch_candidate_backprop(params, encoding, slot, dscores, shared)
         want, got = own.dense_dict(), shared.dense_dict()
         assert want.keys() == got.keys()
         for name in want:
             assert got[name].tobytes() == want[name].tobytes(), name
 
-    def test_translation_backbone_has_no_encoding(self):
-        params = init_params("ttranse", 3, 5, 2, 2, seed=0)
-        assert pair_encoding(params, _vocab(5, 2, [1900, 1910]), np.array([[0, 1, 2, 1]])) is None
+    def test_ttranse_distances_formed_once_per_slot(self, rng, monkeypatch):
+        calls = []
 
-    def test_out_of_range_ids_rejected(self):
-        params = init_params("tadistmult", 3, 5, 2, 2, seed=0)
+        def counting(params, quads, slot):
+            calls.append(slot)
+            return _ttranse_distances(params, quads, slot)
+
+        monkeypatch.setattr(models, "_ttranse_distances", counting)
+        params, vocab, quads = self._setup("ttranse", np.float32, rng)
+        encoding = encode_queries(params, vocab, quads)
+        grads = GradAccum(params)
+        for slot in ("subject", "object"):
+            scores = batch_candidate_scores(params, encoding, slot)
+            batch_candidate_backprop(params, encoding, slot, np.ones_like(scores), grads)
+        assert calls == ["subject", "object"]
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_ttranse_scores_are_negated_distances(self, rng, dtype):
+        params, vocab, quads = self._setup("ttranse", dtype, rng)
+        encoding = encode_queries(params, vocab, quads)
+        for slot in ("subject", "object"):
+            want = (-_ttranse_distances(params, quads, slot)[2]).astype(dtype)
+            got = batch_candidate_scores(params, encoding, slot)
+            assert got.dtype == dtype
+            assert got.tobytes() == want.tobytes()
+
+    def test_record_is_immutable(self, rng):
+        params, vocab, quads = self._setup("ttranse", np.float64, rng)
+        encoding = encode_queries(params, vocab, quads)
+        assert encoding.quads.shape == (40, 4) and encoding.quads.dtype == np.int64
+        with pytest.raises(AttributeError):
+            encoding.quads = quads[:1]
+
+    @pytest.mark.parametrize("backbone", ["ttranse", "tadistmult"])
+    def test_out_of_range_ids_rejected(self, backbone):
+        params = init_params(backbone, 3, 5, 2, 2, seed=0)
         with pytest.raises(ValueError, match="bucket id 2 outside"):
-            pair_encoding(params, _vocab(5, 2, [1900, 1910]), np.array([[0, 1, 2, 2]]))
+            encode_queries(params, _vocab(5, 2, [1900, 1910]), np.array([[0, 1, 2, 2]]))
 
 
 class TestTTransEDistances:
@@ -464,7 +510,7 @@ class TestTTransEDistances:
         queries, coincident = np.arange(4), np.arange(8, 12)
         params.entity_emb.values[coincident] = _ttranse_fixed_part(params, quads, slot)
 
-        scores = batch_candidate_scores(params, vocab, quads, slot)
+        scores = _scores(params, vocab, quads, slot)
         assert scores.dtype == dtype
         assert np.all(scores[queries, coincident] == 0.0)
         assert np.sum(scores < 0.0) == scores.size - len(queries)
@@ -472,12 +518,12 @@ class TestTTransEDistances:
         only_coincident = np.zeros(scores.shape)
         only_coincident[queries, coincident] = 1.0
         grads = GradAccum(params)
-        batch_candidate_backprop(params, vocab, quads, slot, only_coincident, grads)
+        _backprop(params, vocab, quads, slot, only_coincident, grads)
         for grad in grads.dense_dict().values():
             assert np.all(grad == 0.0)
 
         grads = GradAccum(params)
-        batch_candidate_backprop(params, vocab, quads, slot, np.ones(scores.shape), grads)
+        _backprop(params, vocab, quads, slot, np.ones(scores.shape), grads)
         for grad in grads.dense_dict().values():
             assert np.all(np.isfinite(grad))
 
@@ -515,7 +561,7 @@ class TestTTransEDistances:
             reference = -np.sqrt(np.sum(diff * diff, axis=2))
             diff32 = fixed[:, None, :] - table[None, :, :]
             broadcast32 = -np.sqrt(np.sum(diff32 * diff32, axis=2))
-            got = batch_candidate_scores(params, vocab, quads, slot)
+            got = _scores(params, vocab, quads, slot)
 
             assert got.dtype == np.float32
             assert np.max(np.abs(got - reference)) <= np.max(np.abs(broadcast32 - reference))
@@ -654,10 +700,10 @@ class TestBatchBackprop:
         weights = np.random.default_rng(99).normal(size=(4, 5))
 
         def loss():
-            return float(np.sum(weights * batch_candidate_scores(params, vocab, quads, slot)))
+            return float(np.sum(weights * _scores(params, vocab, quads, slot)))
 
         grads = GradAccum(params)
-        batch_candidate_backprop(params, vocab, quads, slot, weights, grads)
+        _backprop(params, vocab, quads, slot, weights, grads)
         arrays = {name: t.values for name, t in params.tables().items()}
         err = finite_diff_check(loss, arrays, grads.dense_dict(), rng=rng)
         assert err < 1e-4

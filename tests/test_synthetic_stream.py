@@ -135,6 +135,21 @@ class TestAgainstPerDrawLoop:
             generate_synthetic(2, 1, 2, 3, 1.0, seed=4)
         assert str(got.value) == str(want.value)
 
+    @pytest.mark.parametrize("shape", [(2**63, 2, 2, 5, 0.5), (3, 2, 2**63, 5, 0.5)], ids=["entities", "buckets"])
+    def test_largest_drawable_count_matches(self, shape):
+        assert_same_dataset(generate_synthetic(*shape, seed=3), reference_generate_synthetic(*shape, seed=3))
+
+    @pytest.mark.parametrize(
+        "counts", [(2**63 + 1, 2, 2), (2**64, 2, 2), (2**70, 2, 2), (2, 2**63 + 1, 2), (2, 2, 2**63 + 1)]
+    )
+    def test_count_numpy_cannot_draw_raises(self, counts):
+        # Generator.integers(0, high) refuses high above 2**63; the bulk reader
+        # would return data the per-draw loop cannot give, or loop forever
+        with pytest.raises(ValueError):
+            np.random.default_rng(0).integers(0, max(counts))
+        with pytest.raises(DataError, match=r"at most 2\*\*63"):
+            generate_synthetic(*counts, 5, 0.5, seed=0)
+
 
 class TestBulkWalk:
     """The table reads every attempt it can; the scalar reader draws only the rest."""
