@@ -759,7 +759,8 @@ def sample_negatives(
     Each negative flips a fair coin for its slot (1 the object, 0 the
     subject), then draws a uniform replacement among the other |E| - 1
     entities, so the original fact never comes back out.  All (n, k) coins are
-    drawn before all replacements.
+    drawn before all replacements.  The corrupted cell of negative i (row-major
+    over (n, k)) is element 4*i + 2*coin of the flattened output.
     """
     n_e = vocab.n_entities
     if n_e < 2:
@@ -767,13 +768,13 @@ def sample_negatives(
     facts = np.asarray(facts, dtype=np.int64)
     batch = facts.reshape(-1, 4)
     n = len(batch)
-    negatives = np.repeat(batch[:, None, :], k, axis=1)
-    corrupt_object = rng.integers(0, 2, size=(n, k)).astype(bool)
-    slot_col = np.where(corrupt_object, 2, 0)[:, :, None]
-    original = np.take_along_axis(negatives, slot_col, axis=2)[:, :, 0]
-    draws = rng.integers(0, n_e - 1, size=(n, k))
-    draws = draws + (draws >= original)
-    np.put_along_axis(negatives, slot_col, draws[:, :, None], axis=2)
+    negatives = np.repeat(batch, k, axis=0)
+    cells = 4 * np.arange(n * k) + 2 * rng.integers(0, 2, size=(n, k)).reshape(-1)
+    flat = negatives.reshape(-1)
+    original = flat[cells]
+    draws = rng.integers(0, n_e - 1, size=(n, k)).reshape(-1)
+    flat[cells] = draws + (draws >= original)
+    negatives = negatives.reshape(n, k, 4)
     return negatives[0] if facts.ndim == 1 else negatives
 
 

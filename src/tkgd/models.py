@@ -399,6 +399,12 @@ def _check_ids(vocab: Vocabulary, quads: np.ndarray) -> None:
         raise ValueError(f"{what} id {int(quads[row, col])} outside [0, {int(bounds[col])})")
 
 
+def _check_slot(slot: str) -> None:
+    """Raise ValueError naming slot unless it is "subject" or "object"."""
+    if slot not in ("subject", "object"):
+        raise ValueError(f"slot must be 'subject' or 'object', got {slot!r}")
+
+
 def _ttranse_distances(
     params: TTransEParams, quads: np.ndarray, slot: str
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -443,8 +449,10 @@ def batch_candidate_scores(params: Params, encoding: QueryEncoding, slot: str) -
     roundoff.  The translation backbone expands |f - e|^2 into
     |f|^2 - 2 f.e + |e|^2 and accumulates it in float64 (_ttranse_distances),
     so the only float32 rounding is the fixed part and the final cast;
-    distances below about 1e-6 of the norms score exactly zero.
+    distances below about 1e-6 of the norms score exactly zero.  A slot other
+    than "subject" or "object" raises ValueError.
     """
+    _check_slot(slot)
     quads = encoding.quads
     ent = params.entity_emb.values
     if params.backbone == "ttranse":
@@ -494,8 +502,10 @@ def batch_candidate_backprop(
     """Chain dL/dscores (m, |E|) into parameter gradients.
 
     The scores are the ones produced by batch_candidate_scores for the same
-    (encoding, slot); gradients accumulate into grads.
+    (encoding, slot); gradients accumulate into grads.  A slot other than
+    "subject" or "object" raises ValueError.
     """
+    _check_slot(slot)
     quads = encoding.quads
     dscores = np.asarray(dscores)
     ent = params.entity_emb.values
@@ -547,20 +557,38 @@ def supervised_gradients(
     """Loss and gradients for one supervised batch with sampled negatives.
 
     positives is (n, 4); negatives is (n, k, 4), k corrupted copies per
-    positive.  The translation backbone trains with margin ranking on
-    distances (margin 1 by default); at zero distance the distance gradient
-    is the zero vector.  The recurrent backbone trains with the logistic
-    softplus loss over positive and negative labels.  Losses are averaged so
-    batch size does not rescale the learning rate.  An entity, relation or
-    bucket id outside the vocabulary raises ValueError.
+    positive, with n and k at least 1 (an empty batch raises ValueError
+    naming the shape).  The translation backbone trains with margin ranking
+    on distances (margin 1 by default); at zero distance the distance
+    gradient is the zero vector.  The recurrent backbone trains with the
+    logistic softplus loss over positive and negative labels.  Losses are
+    averaged so batch size does not rescale the learning rate.  An entity,
+    relation or bucket id outside the vocabulary raises ValueError.
+
+    The translation backbone normalizes and scatters only the rows whose
+    gradient can be nonzero: the negatives with an active hinge (slack > 0)
+    and the positives with at least one of them.  Every other row would add
+    u * 0.0, that is +0.0 or -0.0, and the result is the same bits without
+    it.  GradAccum buffers start at +0.0, and in round-to-nearest a sum
+    that starts at +0.0 is never -0.0, so adding a signed zero changes no
+    entry.  A row that only zeros would touch ends at +0.0, and an Adagrad
+    step with a +0.0 gradient leaves both its values and its accumulator
+    unchanged, so not marking it touched changes nothing either.  The kept
+    rows go through the same arithmetic as the dense form (v divided by
+    where(d > 0, d, 1) first, then times the table-dtype weight
+    count / (n * k)), in the same call order and the same row order.  This
+    holds for finite parameters, the only kind ParamTensor accepts and an
+    Adagrad step (which moves a value by at most lr) produces.
     """
     positives = np.asarray(positives, dtype=np.int64).reshape(-1, 4)
     negatives = np.asarray(negatives, dtype=np.int64)
     if negatives.ndim != 3 or negatives.shape[0] != len(positives) or negatives.shape[2] != 4:
         raise ValueError("negatives must have shape (n_positives, k, 4)")
+    n, k = negatives.shape[:2]
+    if n == 0 or k == 0:
+        raise ValueError(f"supervised batch needs n >= 1 and k >= 1, got negatives of shape {negatives.shape}")
     _check_ids(vocab, positives)
     _check_ids(vocab, negatives.reshape(-1, 4))
-    n, k = negatives.shape[:2]
     grads = GradAccum(params)
 
     if params.backbone == "ttranse":
@@ -573,32 +601,31 @@ def supervised_gradients(
             d = np.linalg.norm(v, axis=1)
             return v, d
 
+        def weighted_units(v: np.ndarray, d: np.ndarray, count: np.ndarray) -> np.ndarray:
+            # v / |v| (zero at zero distance) times count / (n * k) in the table dtype
+            return v / np.where(d > 0, d, 1.0)[:, None] * (count.astype(v.dtype) / (n * k))[:, None]
+
+        def scatter(quads: np.ndarray, g: np.ndarray) -> None:
+            # g is the gradient of s + p - o + t
+            grads.add_rows("entity_emb", quads[:, 0], g)
+            grads.add_rows("relation_emb", quads[:, 1], g)
+            grads.add_rows("time_emb", quads[:, 3], g)
+            grads.add_rows("entity_emb", quads[:, 2], -g)
+
         v_pos, d_pos = diffs(positives)
         flat_neg = negatives.reshape(-1, 4)
         v_neg, d_neg = diffs(flat_neg)
-        d_neg = d_neg.reshape(n, k)
 
-        slack = margin + d_pos[:, None] - d_neg
+        slack = margin + d_pos[:, None] - d_neg.reshape(n, k)
         active = slack > 0
         total = float(np.sum(np.where(active, slack, 0.0)))
         loss = total / (n * k)
 
-        u_pos = v_pos / np.where(d_pos > 0, d_pos, 1.0)[:, None]
-        u_neg = (v_neg / np.where(d_neg.reshape(-1) > 0, d_neg.reshape(-1), 1.0)[:, None]).reshape(n, k, -1)
-
-        w_pos = active.sum(axis=1).astype(u_pos.dtype) / (n * k)
-        g_pos = u_pos * w_pos[:, None]
-        grads.add_rows("entity_emb", positives[:, 0], g_pos)
-        grads.add_rows("relation_emb", positives[:, 1], g_pos)
-        grads.add_rows("time_emb", positives[:, 3], g_pos)
-        grads.add_rows("entity_emb", positives[:, 2], -g_pos)
-
-        w_neg = active.astype(u_pos.dtype) / (n * k)
-        g_neg = (u_neg * w_neg[:, :, None]).reshape(n * k, -1)
-        grads.add_rows("entity_emb", flat_neg[:, 0], -g_neg)
-        grads.add_rows("relation_emb", flat_neg[:, 1], -g_neg)
-        grads.add_rows("time_emb", flat_neg[:, 3], -g_neg)
-        grads.add_rows("entity_emb", flat_neg[:, 2], g_neg)
+        hits = active.sum(axis=1)
+        pos = np.flatnonzero(hits)
+        scatter(positives[pos], weighted_units(v_pos[pos], d_pos[pos], hits[pos]))
+        neg = np.flatnonzero(active)
+        scatter(flat_neg[neg], -weighted_units(v_neg[neg], d_neg[neg], np.ones(len(neg), dtype=np.int64)))
         return loss, grads
 
     all_quads = np.concatenate([positives, negatives.reshape(-1, 4)], axis=0)

@@ -912,6 +912,47 @@ class TestNegativeSampling:
             sample_negatives((0, 0, 0, 0), 1, v, np.random.default_rng(0))
 
 
+def _reference_sample_negatives(facts, k, vocab, rng):
+    """Reference sampler: the same draws, placed with take_along_axis / put_along_axis."""
+    n_e = vocab.n_entities
+    facts = np.asarray(facts, dtype=np.int64)
+    batch = facts.reshape(-1, 4)
+    n = len(batch)
+    negatives = np.repeat(batch[:, None, :], k, axis=1)
+    corrupt_object = rng.integers(0, 2, size=(n, k)).astype(bool)
+    slot_col = np.where(corrupt_object, 2, 0)[:, :, None]
+    original = np.take_along_axis(negatives, slot_col, axis=2)[:, :, 0]
+    draws = rng.integers(0, n_e - 1, size=(n, k))
+    draws = draws + (draws >= original)
+    np.put_along_axis(negatives, slot_col, draws[:, :, None], axis=2)
+    return negatives[0] if facts.ndim == 1 else negatives
+
+
+class TestNegativeSamplingReference:
+    """The flat-index sampler draws the same stream and returns the same array as the reference."""
+
+    @pytest.mark.parametrize("n_entities", [2, 37])
+    @pytest.mark.parametrize("shape", [(4,), (1, 4), (128, 4)])
+    @pytest.mark.parametrize("k", [1, 10])
+    def test_same_negatives_and_generator_state(self, n_entities, shape, k):
+        vocab = Vocabulary([f"x{i}" for i in range(n_entities)], ["r0", "r1", "r2"], [1990, 2000])
+        for seed in range(10):
+            size = shape[:-1] + (1,)
+            gen = np.random.default_rng(1000 + seed)
+            facts = np.concatenate(
+                [gen.integers(n_entities, size=size), gen.integers(3, size=size),
+                 gen.integers(n_entities, size=size), gen.integers(2, size=size)],
+                axis=-1,
+            )
+            want_rng, got_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+            want = _reference_sample_negatives(facts, k, vocab, want_rng)
+            got = sample_negatives(facts, k, vocab, got_rng)
+            assert got.dtype == want.dtype == np.int64
+            assert got.shape == want.shape == (shape[:-1] + (k, 4))
+            np.testing.assert_array_equal(got, want)
+            assert got_rng.bit_generator.state == want_rng.bit_generator.state
+
+
 class TestSyntheticRule:
     def test_object_name_stays_in_range(self):
         rule = SyntheticRule(n_entities=5, offsets={"r0": 3})

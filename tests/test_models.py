@@ -1,9 +1,11 @@
 """Tests for the scoring backbones: init, tokenization, LSTM, scores, gradients."""
+import re
+
 import numpy as np
 import pytest
 
 import tkgd.models as models
-from tkgd.graph import Vocabulary, build_candidates
+from tkgd.graph import Vocabulary, build_candidates, sample_negatives
 from tkgd.models import (
     GATES,
     GradAccum,
@@ -23,7 +25,7 @@ from tkgd.models import (
     supervised_gradients,
     ta_tokenize,
 )
-from tkgd.numerics import ParamTensor, finite_diff_check
+from tkgd.numerics import ParamTensor, finite_diff_check, scatter_add_rows
 
 
 def _vocab(n_entities, n_relations, years):
@@ -431,6 +433,23 @@ class TestCandidateScoring:
         assert np.max(np.abs(s32.astype(np.float64) - s64)) < 1e-5
 
 
+class TestSlotCheck:
+    """A slot other than "subject" or "object" is refused by both batch scorers on both backbones."""
+
+    @pytest.mark.parametrize("backbone", ["ttranse", "tadistmult"])
+    @pytest.mark.parametrize("slot", ["objet", "Object", "", "relation"])
+    def test_misspelled_slot_raises(self, backbone, slot):
+        params = init_params(backbone, 4, 4, 3, 4, seed=0, dtype=np.float64)
+        encoding = encode_queries(params, _vocab(4, 3, [1900, 1910, 1920, 1930]), np.array([[0, 1, 2, 1]]))
+        message = re.escape(repr(slot))
+        with pytest.raises(ValueError, match=message):
+            batch_candidate_scores(params, encoding, slot)
+        grads = GradAccum(params)
+        with pytest.raises(ValueError, match=message):
+            batch_candidate_backprop(params, encoding, slot, np.ones((1, 4)), grads)
+        assert all(np.all(g == 0.0) for g in grads.dense_dict().values())
+
+
 class TestQueryEncoding:
     """One encode_queries record serves both slots' scores and backprops on either backbone."""
 
@@ -685,6 +704,155 @@ class TestSupervisedGradients:
         arrays = {name: t.values for name, t in params.tables().items()}
         err = finite_diff_check(loss, arrays, grads.dense_dict())
         assert err < 1e-4
+
+    @pytest.mark.parametrize("backbone", ["ttranse", "tadistmult"])
+    @pytest.mark.parametrize("n,k", [(0, 1), (0, 0), (2, 0)])
+    def test_empty_batch_rejected(self, backbone, n, k):
+        params = init_params(backbone, 2, 3, 1, 1, seed=0)
+        vocab = _vocab(3, 1, [1900])
+        shape = (n, k, 4)
+        with pytest.raises(ValueError, match=re.escape(str(shape))):
+            supervised_gradients(params, vocab, np.zeros((n, 4), dtype=np.int64), np.zeros(shape, dtype=np.int64))
+
+
+def _dense_ttranse_gradients(params, positives, negatives, margin):
+    """Reference translation step: every positive and negative row is scattered, zero rows included."""
+    n, k = negatives.shape[:2]
+    grads = GradAccum(params)
+    ent = params.entity_emb.values
+    rel = params.relation_emb.values
+    tim = params.time_emb.values
+
+    def diffs(quads):
+        v = ent[quads[:, 0]] + rel[quads[:, 1]] - ent[quads[:, 2]] + tim[quads[:, 3]]
+        return v, np.linalg.norm(v, axis=1)
+
+    v_pos, d_pos = diffs(positives)
+    flat_neg = negatives.reshape(-1, 4)
+    v_neg, d_neg = diffs(flat_neg)
+    d_neg = d_neg.reshape(n, k)
+    slack = margin + d_pos[:, None] - d_neg
+    active = slack > 0
+    loss = float(np.sum(np.where(active, slack, 0.0))) / (n * k)
+    u_pos = v_pos / np.where(d_pos > 0, d_pos, 1.0)[:, None]
+    u_neg = (v_neg / np.where(d_neg.reshape(-1) > 0, d_neg.reshape(-1), 1.0)[:, None]).reshape(n, k, -1)
+    w_pos = active.sum(axis=1).astype(u_pos.dtype) / (n * k)
+    g_pos = u_pos * w_pos[:, None]
+    grads.add_rows("entity_emb", positives[:, 0], g_pos)
+    grads.add_rows("relation_emb", positives[:, 1], g_pos)
+    grads.add_rows("time_emb", positives[:, 3], g_pos)
+    grads.add_rows("entity_emb", positives[:, 2], -g_pos)
+    w_neg = active.astype(u_pos.dtype) / (n * k)
+    g_neg = (u_neg * w_neg[:, :, None]).reshape(n * k, -1)
+    grads.add_rows("entity_emb", flat_neg[:, 0], -g_neg)
+    grads.add_rows("relation_emb", flat_neg[:, 1], -g_neg)
+    grads.add_rows("time_emb", flat_neg[:, 3], -g_neg)
+    grads.add_rows("entity_emb", flat_neg[:, 2], g_neg)
+    return loss, grads
+
+
+class TestHingeSparseStep:
+    """Skipping the rows without an active hinge leaves every bit of the Adagrad step unchanged."""
+
+    E, R, B = 20, 3, 4
+
+    def _batch(self, dtype, seed=7, n=13, k=5):
+        params = init_params("ttranse", 6, self.E, self.R, self.B, seed=seed, dtype=dtype)
+        vocab = _vocab(self.E, self.R, [1900 + 10 * b for b in range(self.B)])
+        gen = np.random.default_rng(seed)
+        positives = np.stack([gen.integers(self.E, size=n), gen.integers(self.R, size=n),
+                              gen.integers(self.E, size=n), gen.integers(self.B, size=n)], axis=1)
+        negatives = sample_negatives(positives, k, vocab, gen)
+        return params, vocab, positives, negatives
+
+    @staticmethod
+    def _active(params, positives, negatives, margin):
+        n, k = negatives.shape[:2]
+        ent, rel, tim = params.entity_emb.values, params.relation_emb.values, params.time_emb.values
+
+        def dist(quads):
+            return np.linalg.norm(ent[quads[:, 0]] + rel[quads[:, 1]] - ent[quads[:, 2]] + tim[quads[:, 3]], axis=1)
+
+        return margin + dist(positives)[:, None] - dist(negatives.reshape(-1, 4)).reshape(n, k) > 0
+
+    def _assert_same_step(self, params, vocab, positives, negatives, margin):
+        sparse_params, dense_params = params.copy(), params.copy()
+        loss, grads = supervised_gradients(sparse_params, vocab, positives, negatives, margin=margin)
+        want_loss, want_grads = _dense_ttranse_gradients(dense_params, positives, negatives, margin)
+        assert loss == want_loss
+        got_buf, want_buf = grads.dense_dict(), want_grads.dense_dict()
+        for name in want_buf:
+            assert got_buf[name].tobytes() == want_buf[name].tobytes(), name
+        grads.apply(0.1, 1e-8)
+        want_grads.apply(0.1, 1e-8)
+        for name, tensor in dense_params.tables().items():
+            got = sparse_params.tables()[name]
+            assert got.values.tobytes() == tensor.values.tobytes(), name
+            assert got.accum.tobytes() == tensor.accum.tobytes(), name
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_fresh_init_almost_all_active(self, dtype):
+        params, vocab, positives, negatives = self._batch(dtype)
+        assert self._active(params, positives, negatives, 1.0).mean() > 0.9
+        self._assert_same_step(params, vocab, positives, negatives, 1.0)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_none_active(self, dtype):
+        params, vocab, positives, negatives = self._batch(dtype)
+        assert not self._active(params, positives, negatives, -1e3).any()
+        self._assert_same_step(params, vocab, positives, negatives, -1e3)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_mixed_batch(self, dtype):
+        params, vocab, positives, negatives = self._batch(dtype)
+        active = self._active(params, positives, negatives, -0.5)
+        hits = active.sum(axis=1)
+        assert 0 < active.sum() < active.size and (hits == 0).any() and (hits > 0).any()
+        self._assert_same_step(params, vocab, positives, negatives, -0.5)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_positive_at_zero_distance(self, dtype):
+        params, vocab, positives, negatives = self._batch(dtype)
+        s, p, o, t = positives[0]
+        params.entity_emb.values[o] = params.entity_emb.values[s]
+        params.relation_emb.values[p] = 0.0
+        params.time_emb.values[t] = 0.0
+        ent = params.entity_emb.values
+        assert not np.any(ent[s] + params.relation_emb.values[p] - ent[o] + params.time_emb.values[t])
+        active = self._active(params, positives, negatives, 2.5)
+        assert active[0].any()
+        self._assert_same_step(params, vocab, positives, negatives, 2.5)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_training_steps_stay_identical(self, dtype):
+        # several steps, so later batches meet nonzero accumulators and a falling share of active hinges
+        params, vocab, _, _ = self._batch(dtype)
+        sparse_params, dense_params = params.copy(), params.copy()
+        gen = np.random.default_rng(3)
+        for _ in range(30):
+            positives = np.stack([gen.integers(self.E, size=8), gen.integers(self.R, size=8),
+                                  gen.integers(self.E, size=8), gen.integers(self.B, size=8)], axis=1)
+            negatives = sample_negatives(positives, 4, vocab, gen)
+            supervised_gradients(sparse_params, vocab, positives, negatives)[1].apply(0.1, 1e-8)
+            _dense_ttranse_gradients(dense_params, positives, negatives, 1.0)[1].apply(0.1, 1e-8)
+        for name, tensor in dense_params.tables().items():
+            assert sparse_params.tables()[name].values.tobytes() == tensor.values.tobytes(), name
+            assert sparse_params.tables()[name].accum.tobytes() == tensor.accum.tobytes(), name
+
+    @pytest.mark.parametrize("margin", [1.0, -0.5, -1e3])
+    def test_scatters_only_active_rows(self, monkeypatch, margin):
+        rows = []
+
+        def counting(buf, idx, grads):
+            rows.append(len(idx))
+            scatter_add_rows(buf, idx, grads)
+
+        monkeypatch.setattr(models, "scatter_add_rows", counting)
+        params, vocab, positives, negatives = self._batch(np.float32)
+        active = self._active(params, positives, negatives, margin)
+        supervised_gradients(params, vocab, positives, negatives, margin=margin)
+        assert len(rows) == 8
+        assert sum(rows) == 4 * int((active.sum(axis=1) > 0).sum()) + 4 * int(active.sum())
 
 
 class TestBatchBackprop:
