@@ -8,6 +8,8 @@ from __future__ import annotations
 
 import argparse
 import configparser
+import ctypes
+import functools
 import json
 import logging
 import os
@@ -36,6 +38,7 @@ _COMMANDS = {
 }
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="tkgd", description="temporal knowledge-graph distillation pipeline")
     sub = parser.add_subparsers(dest="command", required=True, metavar="command")
@@ -76,6 +79,30 @@ def _peek_threads(config_path: str) -> int:
 def _cap_threads(n: int) -> None:
     for var in _THREAD_ENV_VARS:
         os.environ[var] = str(n)
+
+
+# glibc maps each block of M_MMAP_THRESHOLD (-3) bytes or more on its own and
+# unmaps it when freed, and trims free memory at the heap top once it exceeds
+# M_TRIM_THRESHOLD (-1); both start at 128 KiB.  Every training step then faulted
+# its NumPy temporaries in again, zero-filled: 97k minor faults in a desk-size
+# tadistmult train-teacher, 1.5k with these settings.  32 MiB is the largest mmap
+# threshold on 64-bit; the trim threshold sits above it.  M_TOP_PAD = 16 MiB alone
+# clears the desk-size churn too, but at E=500 it raised distill's faults from
+# 85k to 460k, where these thresholds lower them to 27k.
+_MALLOPT_SETTINGS = ((-3, 32 << 20), (-1, 64 << 20))
+
+
+@functools.cache
+def _keep_freed_heap() -> None:
+    """Apply _MALLOPT_SETTINGS once per process; a libc without mallopt is left as it is."""
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (OSError, TypeError, AttributeError):  # no C library handle (Windows) or no mallopt (macOS)
+        return
+    mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
+    mallopt.restype = ctypes.c_int
+    for param, value in _MALLOPT_SETTINGS:
+        mallopt(param, value)  # a 0 return (musl's stub, or a refused value) changes nothing
 
 
 def _write_jsonl(path: Path, records: list[dict]) -> None:
@@ -261,26 +288,24 @@ def _read_query_file(path: Path, vocab):
     """(quads, slots) of a TSV query list, its years mapped to buckets in one call."""
     import numpy as np
 
-    from .graph import DataError, parse_time_token
+    from .graph import DataError, parse_time_token, read_utf8_text
 
     ids, years, slots = [], [], []
-    with path.open("r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.rstrip("\n")
-            if not line or line.startswith("#"):
-                continue
-            parts = line.split("\t")
-            if len(parts) != 5:
-                raise DataError(f"{path}:{lineno}: expected 5 tab-separated fields, got {len(parts)}")
-            s, p, o, year_token, slot = parts
-            if slot not in ("subject", "object"):
-                raise DataError(f"{path}:{lineno}: slot must be 'subject' or 'object', got {slot!r}")
-            year = parse_time_token(year_token)
-            if year is None:
-                raise DataError(f"{path}:{lineno}: query year must be concrete, got {year_token!r}")
-            ids.append((vocab.entity_id(s), vocab.relation_id(p), vocab.entity_id(o)))
-            years.append(year)
-            slots.append(slot)
+    for lineno, line in enumerate(read_utf8_text(path).split("\n"), start=1):
+        if not line or line.startswith("#"):
+            continue
+        parts = line.split("\t")
+        if len(parts) != 5:
+            raise DataError(f"{path}:{lineno}: expected 5 tab-separated fields, got {len(parts)}")
+        s, p, o, year_token, slot = parts
+        if slot not in ("subject", "object"):
+            raise DataError(f"{path}:{lineno}: slot must be 'subject' or 'object', got {slot!r}")
+        year = parse_time_token(year_token)
+        if year is None:
+            raise DataError(f"{path}:{lineno}: query year must be concrete, got {year_token!r}")
+        ids.append((vocab.entity_id(s), vocab.relation_id(p), vocab.entity_id(o)))
+        years.append(year)
+        slots.append(slot)
     quads = np.column_stack([np.array(ids, dtype=np.int64).reshape(-1, 3), vocab.buckets_for_years(years)])
     return quads, slots
 
@@ -340,6 +365,7 @@ _DISPATCH = {
 
 
 def main(argv=None) -> int:
+    _keep_freed_heap()
     args = _build_parser().parse_args(argv)
     threads = args.threads if args.threads is not None else _peek_threads(args.config)
     _cap_threads(max(1, threads))

@@ -400,17 +400,31 @@ class _SplitColumns(NamedTuple):
 _NO_YEAR = np.iinfo(np.int64).min
 
 
+def read_utf8_text(path: Path) -> str:
+    r"""The text of a UTF-8 file with its "\r\n" and "\r" line ends read as "\n", as universal newlines read them.
+
+    A byte sequence that is not UTF-8 raises DataError naming the file and the line.
+    """
+    data = path.read_bytes()
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        lineno = data[: exc.start].replace(b"\r\n", b"\n").replace(b"\r", b"\n").count(b"\n") + 1
+        raise DataError(f"{path}:{lineno}: not UTF-8 text (byte 0x{data[exc.start]:02x})") from None
+    return text.replace("\r\n", "\n").replace("\r", "\n") if "\r" in text else text
+
+
 def _read_split_file(path: Path, schema: LoadSchema) -> _SplitColumns:
     r"""Parse one split file column-wise into name columns and a year array.
 
-    Lines end at "\n" (the file is read with universal newlines, so "\r\n"
-    and "\r" end lines too); whitespace-only lines are skipped.  Each distinct
+    Lines end at "\n" (the file is read with read_utf8_text, so "\r\n" and
+    "\r" end lines too); whitespace-only lines are skipped.  Each distinct
     time token is parsed once.  A malformed file raises the DataError a
     line-by-line read would raise first: a short line reports its number, and
     of the unparseable tokens the first in file order (begin before end within
     a line) is reported.
     """
-    lines = path.read_text(encoding="utf-8").split("\n")
+    lines = read_utf8_text(path).split("\n")
     rows = [line.split("\t") for line in lines if line.strip()]
     min_fields = max(schema.subject_col, schema.relation_col, schema.object_col, schema.begin_col) + 1
     short = len(rows)

@@ -223,14 +223,16 @@ class ScoreCache:
         self._records: dict[str, dict] = {}
         self._fh = None
         if self.path is not None and self.path.exists():
-            with self.path.open("r", encoding="utf-8") as fh:
-                for lineno, line in enumerate(fh, start=1):
-                    line = line.strip()
-                    if not line:
-                        continue
+            # read as bytes so that a line that is not UTF-8 is skipped alone; each line is
+            # decoded before json.loads, which would read bytes opening with a UTF-16 BOM as UTF-16
+            with self.path.open("rb") as fh:
+                for lineno, raw in enumerate(fh, start=1):
                     try:
+                        line = raw.decode("utf-8").strip()
+                        if not line:
+                            continue
                         rec = json.loads(line)
-                    except json.JSONDecodeError:
+                    except (UnicodeDecodeError, json.JSONDecodeError):
                         rec = None
                     if isinstance(rec, dict) and isinstance(rec.get("key"), str):
                         self._records[rec["key"]] = rec

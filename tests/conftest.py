@@ -4,11 +4,15 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from tkgd.cli import _keep_freed_heap
 from tkgd.graph import Vocabulary, generate_synthetic, load_quadruples
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
 logging.getLogger("tkgd").setLevel(logging.ERROR)
+
+# the allocator settings tkgd's command line applies to its process; they change speed, not results
+_keep_freed_heap()
 
 
 @pytest.fixture

@@ -1,4 +1,5 @@
 """End-to-end pipeline tests driven through the command-line entry point."""
+import ctypes
 import hashlib
 import json
 import logging
@@ -7,10 +8,12 @@ import re
 import subprocess
 import sys
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
+from tkgd import cli
 from tkgd.checkpoint import load_checkpoint
 from tkgd.cli import main
 from tkgd.graph import generate_synthetic, save_dataset
@@ -542,3 +545,155 @@ class TestCacheLlmCommand:
         queries.write_text("e0\tr0\te1\t1900\tboth\n")
         assert main(["cache-llm", "--config", cfg, "--queries", str(queries)]) == 1
         assert "slot" in capsys.readouterr().err
+
+
+class _FakeLibc:
+    """A C library handle whose mallopt records its calls into events and returns ret."""
+
+    def __init__(self, events, ret=1):
+        def mallopt(param, value):
+            events.append(("mallopt", param, value))
+            return ret
+
+        self.mallopt = mallopt
+
+
+def _no_handle(exc_type):
+    """A CDLL stand-in that cannot open the C library."""
+
+    def open_libc(name):
+        raise exc_type("no C library handle")
+
+    return open_libc
+
+
+class TestAllocatorSettings:
+    """main pins glibc's malloc thresholds once per process, before any command; other C libraries stay as they are."""
+
+    @pytest.fixture(autouse=True)
+    def fresh_process(self):
+        cli._keep_freed_heap.cache_clear()
+        yield
+        cli._keep_freed_heap.cache_clear()  # the next main() applies the real settings again
+
+    def _libc(self, monkeypatch, open_libc):
+        monkeypatch.setattr(cli, "ctypes", SimpleNamespace(CDLL=open_libc, c_int=ctypes.c_int))
+
+    def test_set_once_before_dispatch(self, tmp_path, monkeypatch):
+        events, handles = [], []
+
+        def open_libc(name):
+            events.append(("CDLL", name))
+            handles.append(_FakeLibc(events))
+            return handles[-1]
+
+        self._libc(monkeypatch, open_libc)
+        monkeypatch.setitem(cli._DISPATCH, "prepare", lambda cfg, outdir, args: events.append("prepare") or 0)
+        monkeypatch.chdir(tmp_path)
+        cfg = _write(tmp_path)
+        assert main(["prepare", "--config", cfg]) == 0
+        assert main(["prepare", "--config", cfg]) == 0
+        # M_MMAP_THRESHOLD = 32 MiB, then M_TRIM_THRESHOLD = 64 MiB
+        assert events == [("CDLL", None), ("mallopt", -3, 33554432), ("mallopt", -1, 67108864), "prepare", "prepare"]
+        assert handles[0].mallopt.argtypes == (ctypes.c_int, ctypes.c_int)
+        assert handles[0].mallopt.restype is ctypes.c_int
+
+    def test_set_before_a_parse_error(self, monkeypatch, capsys):
+        events = []
+        self._libc(monkeypatch, lambda name: _FakeLibc(events))
+        with pytest.raises(SystemExit) as exc:
+            main(["no-such-command"])
+        assert exc.value.code == 2
+        assert [e[1] for e in events] == [-3, -1]
+
+    @pytest.mark.parametrize(
+        "open_libc",
+        [
+            _no_handle(OSError),
+            _no_handle(TypeError),  # Windows: CDLL(None)
+            lambda name: SimpleNamespace(),  # a C library without mallopt (macOS)
+            lambda name: _FakeLibc([], ret=0),  # musl's stub: refuses every parameter
+        ],
+        ids=["oserror", "typeerror", "no-mallopt", "refused"],
+    )
+    def test_every_command_keeps_its_exit_code(self, open_libc, tmp_path, monkeypatch, capsys):
+        self._libc(monkeypatch, open_libc)
+        monkeypatch.chdir(tmp_path)
+        cfg = _write(tmp_path)
+        assert main(["distill", "--config", cfg]) == 1  # no teacher checkpoint yet
+        for command in ("prepare", "train-teacher", "cache-llm", "distill", "evaluate", "export"):
+            assert main([command, "--config", cfg]) == 0, command
+        with pytest.raises(SystemExit) as exc:
+            main(["evaluate", "--config", cfg, "--split", "nope"])
+        assert exc.value.code == 2
+        assert "Traceback" not in capsys.readouterr().err
+
+
+class TestParser:
+    def test_built_once_and_reusable_after_an_error(self, capsys):
+        parser = cli._build_parser()
+        assert cli._build_parser() is parser
+        with pytest.raises(SystemExit) as exc:
+            parser.parse_args(["evaluate", "--config", "x", "--split", "nope"])
+        assert exc.value.code == 2
+        assert "invalid choice: 'nope'" in capsys.readouterr().err
+        args = parser.parse_args(["evaluate", "--config", "x"])
+        assert (args.command, args.split, args.checkpoint, args.seed) == ("evaluate", "test", None, None)
+        args = parser.parse_args(["distill", "--config", "y", "--teacher", "t", "--seed", "3"])
+        assert (args.command, args.teacher, args.seed) == ("distill", "t", 3)
+        assert not hasattr(args, "split")
+
+
+class TestNonUtf8Input:
+    """An input file that is not UTF-8 is named with its line: one error line, or a skipped cache record."""
+
+    @staticmethod
+    def _one_error_line(capsys, where):
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1 and err.startswith("error: "), err
+        assert where in err and "not UTF-8" in err, err
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("newline", ["\n", "\r\n", "\r"], ids=["lf", "crlf", "cr"])
+    def test_split_file(self, newline, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        data = tmp_path / "data"
+        save_dataset(generate_synthetic(12, 2, 4, 90, 0.9, seed=13), data)
+        train = data / "train.txt"
+        lines = train.read_text(encoding="utf-8").splitlines()
+        lines[2] = lines[2].replace("\t", "\txx", 1)
+        train.write_bytes(newline.join(lines).encode("utf-8").replace(b"xx", b"\xff") + b"\n")
+        cfg = _write(tmp_path, BASE_CONFIG.replace("synthetic = yes", f"synthetic = no\npath = {data}"))
+        capsys.readouterr()
+        assert main(["prepare", "--config", cfg]) == 1
+        self._one_error_line(capsys, f"{train}:3:")
+
+    def test_query_file(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        cfg = _write(tmp_path)
+        assert main(["train-teacher", "--config", cfg]) == 0
+        queries = tmp_path / "queries.tsv"
+        queries.write_bytes(b"# queries\ne0\tr0\te1\t1900\tobject\ne0\tr\xff\te1\t1900\tsubject\n")
+        capsys.readouterr()
+        assert main(["cache-llm", "--config", cfg, "--queries", str(queries)]) == 1
+        self._one_error_line(capsys, f"{queries}:3:")
+
+    def test_cache_record_skipped(self, tmp_path, monkeypatch, capsys, caplog):
+        monkeypatch.chdir(tmp_path)
+        cfg = _write(tmp_path)
+        assert main(["train-teacher", "--config", cfg]) == 0
+        assert main(["cache-llm", "--config", cfg]) == 0
+        cache = Path("out") / "llm_cache.jsonl"  # as the config names it, relative to the working directory
+        records = cache.read_bytes().splitlines(keepends=True)
+        # a record as UTF-16 behind its byte-order mark: json.loads would accept these bytes as they are
+        utf16 = b"\xff\xfe" + records[0].rstrip(b"\n").decode("utf-8").encode("utf-16-le") + b"\n"
+        cache.write_bytes(records[0] + utf16 + b"\xff\n" + b"".join(records[1:]))
+        capsys.readouterr()
+        with caplog.at_level(logging.WARNING, logger="tkgd.llm"):
+            assert main(["distill", "--config", cfg]) == 0
+        out, err = capsys.readouterr()
+        assert "llm calls 0" in out  # every record after the bad lines still loaded
+        assert "Traceback" not in err
+        assert [r.getMessage() for r in caplog.records if r.name == "tkgd.llm"] == [
+            f"{cache}:{n}: skipping corrupt cache record" for n in (2, 3)
+        ]
