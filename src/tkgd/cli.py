@@ -303,7 +303,10 @@ def _read_query_file(path: Path, vocab):
         year = parse_time_token(year_token)
         if year is None:
             raise DataError(f"{path}:{lineno}: query year must be concrete, got {year_token!r}")
-        ids.append((vocab.entity_id(s), vocab.relation_id(p), vocab.entity_id(o)))
+        try:
+            ids.append((vocab.entity_id(s), vocab.relation_id(p), vocab.entity_id(o)))
+        except DataError as exc:
+            raise DataError(f"{path}:{lineno}: {exc}") from None
         years.append(year)
         slots.append(slot)
     quads = np.column_stack([np.array(ids, dtype=np.int64).reshape(-1, 3), vocab.buckets_for_years(years)])

@@ -9,6 +9,7 @@ from pathlib import Path
 
 from .distill import DistillConfig
 from .evaluate import MODES, TIE_POLICIES
+from .graph import DataError, read_utf8_text
 from .models import BACKBONES
 
 logger = logging.getLogger(__name__)
@@ -256,8 +257,9 @@ def parse_config(path: str | Path, overrides: dict[str, str] | None = None) -> R
         raise ConfigError(f"config file not found: {path}")
     parser = configparser.ConfigParser(interpolation=None)
     try:
-        with path.open("r", encoding="utf-8") as fh:
-            parser.read_file(fh)
+        parser.read_string(read_utf8_text(path), source=str(path))
+    except DataError as exc:  # not UTF-8: the message names the file and the line
+        raise ConfigError(str(exc)) from None
     except configparser.Error as exc:
         raise ConfigError(f"{path}: {exc}") from None
 

@@ -19,13 +19,11 @@ block's row i equals the vector result for that row bit for bit.
 """
 from __future__ import annotations
 
-import logging
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import llm as llm_mod
-from .evaluate import evaluate
 from .graph import Dataset
 from .models import (
     GradAccum,
@@ -42,8 +40,7 @@ from .numerics import (
     softmax_with_temperature,
     sorted_unique,
 )
-
-logger = logging.getLogger(__name__)
+from .training import run_epochs
 
 __all__ = [
     "DistillConfig",
@@ -427,12 +424,6 @@ def _phase2_targets(
     return targets, counts
 
 
-def _batch_iter(n: int, batch_size: int, rng: np.random.Generator):
-    perm = rng.permutation(n)
-    for start in range(0, n, batch_size):
-        yield perm[start : start + batch_size]
-
-
 def distill_run(
     teacher: Params,
     student: StudentState,
@@ -460,15 +451,15 @@ def distill_run(
     calls it.  Each batch encodes its queries for the teacher and for the
     student once (models.encode_queries): the student's record serves both
     slots' scores and backprops, since its parameters change only when the
-    batch's gradients are applied.  The student snapshot with the
-    best validation MRR is returned (the final state when the validation
-    split is empty or never evaluated).
+    batch's gradients are applied.  The epochs, evaluation cadence and
+    best-snapshot rule are training.run_epochs'.
     One log record per epoch: epoch, phase, method, train_loss (the mean
     loss per query, each training fact counting once per slot), llm_calls
-    (the handle's cumulative call count), llm_hits, llm_misses and
-    llm_unusable (the queries the epoch answered from the cache, resolved
-    without it, and got no usable scores for; nonzero only in the epoch that
-    resolves the shortlists), and valid_mrr on evaluation epochs.
+    (the handle's cumulative call count, which batches never change),
+    llm_hits, llm_misses and llm_unusable (the queries the epoch answered
+    from the cache, resolved without it, and got no usable scores for;
+    nonzero only in the epoch that resolves the shortlists), and valid_mrr
+    on evaluation epochs.
     """
     if teacher.backbone != student.params.backbone:
         raise ValueError(
@@ -478,108 +469,75 @@ def distill_run(
         raise ValueError("method 'ours' with lambda_llm > 0 needs an LLM handle; pass one or set lambda_llm = 0")
     if cfg.method == "fitnet" and student.fitnet_regressor is None:
         raise ValueError("fitnet needs a student with a regressor; build it with make_student(method='fitnet')")
-    if batch_size < 1:
-        raise ValueError("batch_size must be positive")
+    vocab, train, targets = dataset.vocab, dataset.train, None
 
-    vocab = dataset.vocab
-    train = dataset.train
-    total_epochs = cfg.phase1_epochs + (cfg.phase2_epochs if cfg.method == "ours" else 0)
-    has_valid = len(dataset.valid) > 0
-
-    best = student.copy()
-    best_mrr = -np.inf
-    log: list[dict] = []
-    targets = None
-
-    for epoch in range(total_epochs):
+    def start_epoch(epoch: int):
+        nonlocal targets
         phase = 1 if epoch < cfg.phase1_epochs else 2
         lam = cfg.lambda_llm if (cfg.method == "ours" and phase == 2) else 0.0
-        epoch_loss = 0.0
-        n_queries = 0
         llm_counts = {"llm_hits": 0, "llm_misses": 0, "llm_unusable": 0}
         if lam > 0.0 and targets is None:
             targets, llm_counts = _phase2_targets(teacher, dataset, llm_handle, llm_cache, cfg.llm_topk, batch_size)
+        calls = int(getattr(llm_handle, "calls", 0)) if llm_handle is not None else 0
+        fields = {"phase": phase, "method": cfg.method, "llm_calls": calls, **llm_counts}
+        return (lambda batch: step(batch, lam)), fields
 
-        for batch in _batch_iter(len(train), batch_size, rng):
-            quads = train[batch]
-            m = len(quads)
-            grads = GradAccum(student.params)
-            batch_loss = 0.0
-            t_encoding = encode_queries(teacher, vocab, quads)
-            s_encoding = encode_queries(student.params, vocab, quads)
+    def step(batch: np.ndarray, lam: float):
+        quads = train[batch]
+        m = len(quads)
+        grads = GradAccum(student.params)
+        batch_loss = 0.0
+        t_encoding = encode_queries(teacher, vocab, quads)
+        s_encoding = encode_queries(student.params, vocab, quads)
 
-            for si, slot in enumerate(("subject", "object")):
-                t_scores = batch_candidate_scores(teacher, t_encoding, slot)
-                s_scores = batch_candidate_scores(student.params, s_encoding, slot)
-                gts = quads[:, 0] if slot == "subject" else quads[:, 2]
-                d_scores = np.zeros_like(s_scores)
+        for si, slot in enumerate(("subject", "object")):
+            t_scores = batch_candidate_scores(teacher, t_encoding, slot)
+            s_scores = batch_candidate_scores(student.params, s_encoding, slot)
+            gts = quads[:, 0] if slot == "subject" else quads[:, 2]
+            d_scores = np.zeros_like(s_scores)
 
-                if cfg.method in ("ours", "bkd"):
-                    alpha = cfg.alpha_kd if cfg.method == "ours" else 1.0
-                    l_kd, g_kd = kd_soft_loss(t_scores, s_scores, gts, cfg.tau, alpha)
-                    batch_loss += float(np.sum(l_kd))
-                    d_scores += g_kd
+            if cfg.method in ("ours", "bkd"):
+                alpha = cfg.alpha_kd if cfg.method == "ours" else 1.0
+                l_kd, g_kd = kd_soft_loss(t_scores, s_scores, gts, cfg.tau, alpha)
+                batch_loss += float(np.sum(l_kd))
+                d_scores += g_kd
 
-                if cfg.beta > 0.0:
-                    l_sup, g_sup = supervised_loss(s_scores, gts)
-                    batch_loss += cfg.beta * float(np.sum(l_sup))
-                    d_scores += cfg.beta * g_sup
+            if cfg.beta > 0.0:
+                l_sup, g_sup = supervised_loss(s_scores, gts)
+                batch_loss += cfg.beta * float(np.sum(l_sup))
+                d_scores += cfg.beta * g_sup
 
-                if lam > 0.0:
-                    top, llm_norm, usable = (t[batch, si] for t in targets)
-                    terms = _align_rows(s_scores, top, llm_norm, usable, lam, cfg.delta, d_scores)
-                    for term in terms.tolist():  # one row at a time keeps the loss's summation order
-                        batch_loss += term
+            if lam > 0.0:
+                top, llm_norm, usable = (t[batch, si] for t in targets)
+                terms = _align_rows(s_scores, top, llm_norm, usable, lam, cfg.delta, d_scores)
+                for term in terms.tolist():  # one row at a time keeps the loss's summation order
+                    batch_loss += term
 
-                d_scores /= 2.0 * m  # queries per batch: both slots
-                batch_candidate_backprop(student.params, s_encoding, slot, d_scores, grads)
+            d_scores /= 2.0 * m  # queries per batch: both slots
+            batch_candidate_backprop(student.params, s_encoding, slot, d_scores, grads)
 
-            batch_loss /= 2.0 * m
-            n_queries += 2 * m
+        batch_loss /= 2.0 * m
 
-            if cfg.method == "fitnet":
-                ids = sorted_unique(quads[:, [0, 2]])
-                l_hint, g_emb, g_reg = fitnet_hint_loss(
-                    student.params.entity_emb.values[ids],
-                    teacher.entity_emb.values[ids],
-                    student.fitnet_regressor.values,
-                )
-                batch_loss += l_hint
-                grads.add_rows("entity_emb", ids, g_emb)
-                adagrad_step(student.fitnet_regressor, g_reg, lr=lr, eps=eps)
-            elif cfg.method == "rkd":
-                ids = sorted_unique(quads[:, [0, 2]])
-                if len(ids) > RKD_MAX_BATCH:
-                    ids = np.sort(rng.choice(ids, size=RKD_MAX_BATCH, replace=False))
-                if len(ids) >= 3:
-                    l_rel, g_emb = rkd_loss(
-                        student.params.entity_emb.values[ids],
-                        teacher.entity_emb.values[ids],
-                    )
-                    batch_loss += l_rel
-                    grads.add_rows("entity_emb", ids, g_emb.astype(student.params.entity_emb.dtype))
+        if cfg.method == "fitnet":
+            ids = sorted_unique(quads[:, [0, 2]])
+            l_hint, g_emb, g_reg = fitnet_hint_loss(
+                student.params.entity_emb.values[ids], teacher.entity_emb.values[ids], student.fitnet_regressor.values
+            )
+            batch_loss += l_hint
+            grads.add_rows("entity_emb", ids, g_emb)
+            adagrad_step(student.fitnet_regressor, g_reg, lr=lr, eps=eps)
+        elif cfg.method == "rkd":
+            ids = sorted_unique(quads[:, [0, 2]])
+            if len(ids) > RKD_MAX_BATCH:
+                ids = np.sort(rng.choice(ids, size=RKD_MAX_BATCH, replace=False))
+            if len(ids) >= 3:
+                l_rel, g_emb = rkd_loss(student.params.entity_emb.values[ids], teacher.entity_emb.values[ids])
+                batch_loss += l_rel
+                grads.add_rows("entity_emb", ids, g_emb.astype(student.params.entity_emb.dtype))
+        return batch_loss, 2 * m, grads
 
-            if not np.isfinite(batch_loss):
-                raise RuntimeError(f"training diverged: non-finite loss at epoch {epoch}, batch size {m}")
-            grads.apply(lr, eps)
-            epoch_loss += batch_loss * 2 * m
-
-        record = {
-            "epoch": epoch,
-            "phase": phase,
-            "method": cfg.method,
-            "train_loss": epoch_loss / n_queries,
-            "llm_calls": int(getattr(llm_handle, "calls", 0)) if llm_handle is not None else 0,
-            **llm_counts,
-        }
-        if has_valid and eval_every > 0 and ((epoch + 1) % eval_every == 0 or epoch == total_epochs - 1):
-            report = evaluate(student.params, dataset, split="valid", mode=eval_mode, tie_policy=tie_policy)
-            record["valid_mrr"] = report.mrr
-            if report.mrr > best_mrr:
-                best_mrr = report.mrr
-                best = student.copy()
-        log.append(record)
-
-    if best_mrr == -np.inf:
-        best = student.copy()
-    return best, log
+    epochs = cfg.phase1_epochs + (cfg.phase2_epochs if cfg.method == "ours" else 0)
+    return run_epochs(
+        student, student.params, dataset, rng, start_epoch, epochs=epochs, batch_size=batch_size,
+        lr=lr, eps=eps, eval_every=eval_every, eval_mode=eval_mode, tie_policy=tie_policy,
+    )

@@ -1,17 +1,83 @@
-"""Supervised training loop for the backbone models."""
+"""The epoch loop shared by teacher training and distillation, and supervised training on it."""
 from __future__ import annotations
 
 import logging
+from typing import Callable
 
 import numpy as np
 
 from .evaluate import evaluate
 from .graph import sample_negatives
-from .models import Params, supervised_gradients
+from .models import GradAccum, Params, supervised_gradients
 
 logger = logging.getLogger(__name__)
 
-__all__ = ["train_supervised"]
+__all__ = ["run_epochs", "train_supervised"]
+
+
+def run_epochs(
+    state,
+    params: Params,
+    dataset,
+    rng: np.random.Generator,
+    start_epoch: Callable[[int], tuple[Callable[[np.ndarray], tuple[float, int, GradAccum]], dict]],
+    *,
+    epochs: int,
+    batch_size: int,
+    lr: float,
+    eps: float,
+    eval_every: int,
+    eval_mode: str,
+    tie_policy: str,
+):
+    """Train for epochs over the training split; returns (best snapshot of state, log).
+
+    state is what a snapshot copies, and params the parameters in it that
+    the steps update and validation scores.  Each epoch calls
+    start_epoch(epoch) for its batch step and the fields its log record adds,
+    then shuffles the training rows with one permutation, before any draw a
+    step makes.  step(rows) takes one batch's row indices and returns (loss,
+    weight, grads): the batch's mean loss, the number of terms it averages,
+    and the gradients of one adaptive-gradient step.  A loss that is not
+    finite raises RuntimeError.  Each record holds epoch, the fields, the
+    weight-averaged train_loss and, every eval_every epochs and after the
+    last, valid_mrr.  The first evaluation becomes the best snapshot, and a
+    later one replaces it only with a strictly better reciprocal-rank mean;
+    with an empty validation split the final state is returned.
+    """
+    if epochs < 0:
+        raise ValueError("epochs must be non-negative")
+    if batch_size < 1:
+        raise ValueError("batch_size must be positive")
+    if eval_every < 1:
+        raise ValueError(f"eval_every must be at least 1, got {eval_every}")
+    n = len(dataset.train)  # never 0: Dataset refuses an empty training split
+    has_valid = len(dataset.valid) > 0
+    best, best_mrr = None, -np.inf
+    log: list[dict] = []
+    for epoch in range(epochs):
+        step, fields = start_epoch(epoch)
+        order = rng.permutation(n)
+        epoch_loss, total = 0.0, 0
+        for start in range(0, n, batch_size):
+            loss, weight, grads = step(order[start : start + batch_size])
+            if not np.isfinite(loss):
+                raise RuntimeError(f"training diverged at epoch {epoch}: loss is not finite")
+            grads.apply(lr, eps)
+            epoch_loss += loss * weight
+            total += weight
+        record = {"epoch": epoch, **fields, "train_loss": float(epoch_loss / total)}
+        if has_valid and ((epoch + 1) % eval_every == 0 or epoch == epochs - 1):
+            report = evaluate(params, dataset, split="valid", mode=eval_mode, tie_policy=tie_policy)
+            record["valid_mrr"] = report.mrr
+            if report.mrr > best_mrr:
+                best_mrr = report.mrr
+                best = state.copy()
+            logger.info(
+                "epoch %d: loss %.4f, valid reciprocal-rank mean %.4f", epoch, record["train_loss"], report.mrr
+            )
+        log.append(record)
+    return (state.copy() if best is None else best), log
 
 
 def train_supervised(
@@ -29,61 +95,25 @@ def train_supervised(
     eval_mode: str = "raw",
     tie_policy: str = "pessimistic",
 ) -> tuple[Params, list[dict]]:
-    """Fit params on the training split; returns (best params, log).
+    """Fit params on the training split with run_epochs; returns (best params, log).
 
-    Each epoch shuffles the training facts, pairs every positive with
-    neg_samples corrupted facts, and applies one adaptive-gradient step per
-    batch.  The validation split is scored every eval_every epochs and on
-    the last one; there is no evaluation before training, so the first
-    evaluation always becomes the best so far.  The returned parameters are
-    the snapshot with the best validation reciprocal-rank mean.  With an
-    empty validation split nothing is evaluated, no record carries
-    valid_mrr, and the parameters after the last epoch are returned.
+    Each batch pairs every positive with neg_samples corrupted facts and
+    takes the margin ranking step of models.supervised_gradients; its weight
+    is the number of positives.  Records carry phase "supervised", the
+    backbone as method and llm_calls 0.
     """
-    if epochs < 0:
-        raise ValueError("epochs must be non-negative")
     if neg_samples < 1:
         raise ValueError("neg_samples must be positive")
-    if batch_size < 1:
-        raise ValueError("batch_size must be positive")
-    log: list[dict] = []
-    if epochs == 0:
-        return params.copy(), log
-    train = dataset.train
-    n = train.shape[0]
-    if n == 0:
-        raise ValueError("training split is empty")
-    has_valid = len(dataset.valid) > 0
-    best_mrr = -1.0
-    best: Params | None = None
-    for epoch in range(epochs):
-        order = rng.permutation(n)
-        epoch_loss = 0.0
-        for start in range(0, n, batch_size):
-            batch = train[order[start : start + batch_size]]
-            negatives = sample_negatives(batch, neg_samples, dataset.vocab, rng)
-            loss, grads = supervised_gradients(params, dataset.vocab, batch, negatives, margin=margin)
-            if not np.isfinite(loss):
-                raise RuntimeError(f"training diverged at epoch {epoch}: loss is not finite")
-            grads.apply(lr, eps)
-            epoch_loss += loss * batch.shape[0]
-        record = {
-            "epoch": epoch,
-            "phase": "supervised",
-            "method": params.backbone,
-            "train_loss": float(epoch_loss / n),
-            "llm_calls": 0,
-        }
-        if has_valid and ((epoch + 1) % eval_every == 0 or epoch == epochs - 1):
-            report = evaluate(params, dataset, split="valid", mode=eval_mode, tie_policy=tie_policy)
-            record["valid_mrr"] = report.mrr
-            if report.mrr > best_mrr:
-                best_mrr = report.mrr
-                best = params.copy()
-            logger.info(
-                "epoch %d: loss %.4f, valid reciprocal-rank mean %.4f", epoch, record["train_loss"], report.mrr
-            )
-        log.append(record)
-    if best is None:
-        best = params.copy()
-    return best, log
+    train, vocab = dataset.train, dataset.vocab
+    fields = {"phase": "supervised", "method": params.backbone, "llm_calls": 0}
+
+    def step(rows: np.ndarray):
+        batch = train[rows]
+        negatives = sample_negatives(batch, neg_samples, vocab, rng)
+        loss, grads = supervised_gradients(params, vocab, batch, negatives, margin=margin)
+        return loss, batch.shape[0], grads
+
+    return run_epochs(
+        params, params, dataset, rng, lambda epoch: (step, fields), epochs=epochs, batch_size=batch_size,
+        lr=lr, eps=eps, eval_every=eval_every, eval_mode=eval_mode, tie_policy=tie_policy,
+    )

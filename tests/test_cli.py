@@ -546,6 +546,22 @@ class TestCacheLlmCommand:
         assert main(["cache-llm", "--config", cfg, "--queries", str(queries)]) == 1
         assert "slot" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "line, message",
+        [("nope\tr0\te1\t1905\tobject", "unknown entity name: 'nope'"),
+         ("e0\tr9\te1\t1905\tobject", "unknown relation name: 'r9'")],
+        ids=["entity", "relation"],
+    )
+    def test_unknown_name_names_file_and_line(self, tmp_path, monkeypatch, capsys, line, message):
+        monkeypatch.chdir(tmp_path)
+        cfg = _write(tmp_path)
+        assert main(["train-teacher", "--config", cfg]) == 0
+        queries = tmp_path / "queries.tsv"
+        queries.write_text(f"# queries\ne0\tr0\te1\t1900\tobject\n{line}\n")
+        capsys.readouterr()
+        assert main(["cache-llm", "--config", cfg, "--queries", str(queries)]) == 1
+        assert capsys.readouterr().err == f"error: {queries}:3: {message}\n"
+
 
 class _FakeLibc:
     """A C library handle whose mallopt records its calls into events and returns ret."""
@@ -677,6 +693,15 @@ class TestNonUtf8Input:
         capsys.readouterr()
         assert main(["cache-llm", "--config", cfg, "--queries", str(queries)]) == 1
         self._one_error_line(capsys, f"{queries}:3:")
+
+    @pytest.mark.parametrize("command", ["prepare", "distill"])
+    def test_config_file(self, command, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        cfg = tmp_path / "bad.ini"
+        cfg.write_bytes(BASE_CONFIG.replace("n_entities = 12", "n_entities = 12 # caf\xe9").encode("latin-1"))
+        capsys.readouterr()
+        assert main([command, "--config", str(cfg)]) == 1
+        self._one_error_line(capsys, f"{cfg}:3:")
 
     def test_cache_record_skipped(self, tmp_path, monkeypatch, capsys, caplog):
         monkeypatch.chdir(tmp_path)

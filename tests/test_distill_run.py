@@ -157,14 +157,14 @@ class TestEncoderSharing:
     @pytest.mark.parametrize("method", ["ours", "fitnet"])
     def test_two_forwards_per_batch(self, small_synth, method, monkeypatch):
         """The teacher and the student are each encoded once per batch; evaluation adds one per block."""
-        distill_module = importlib.import_module("tkgd.distill")
+        training_module = importlib.import_module("tkgd.training")  # the epoch loop calls evaluate
         models_module = importlib.import_module("tkgd.models")
         n = small_synth.vocab.n_entities
         teacher = init_params("tadistmult", 8, n, 3, 5, seed=0)
         student = make_student("tadistmult", 4, n, 3, 5, seed=1, method=method, teacher_dim=8)
         counts = {"train": 0, "eval": 0}
         where = ["train"]
-        original_forward, original_evaluate = models_module.lstm_forward, distill_module.evaluate
+        original_forward, original_evaluate = models_module.lstm_forward, training_module.evaluate
 
         def counted_forward(tokens, params):
             counts[where[0]] += 1
@@ -178,7 +178,7 @@ class TestEncoderSharing:
                 where[0] = "train"
 
         monkeypatch.setattr(models_module, "lstm_forward", counted_forward)
-        monkeypatch.setattr(distill_module, "evaluate", flagged_evaluate)
+        monkeypatch.setattr(training_module, "evaluate", flagged_evaluate)
         cfg = DistillConfig(phase1_epochs=3, phase2_epochs=0, lambda_llm=0.0, method=method)
         _, log = distill_run(teacher, student, small_synth, None, cfg, np.random.default_rng(4),
                              batch_size=16, eval_every=2)
