@@ -455,11 +455,10 @@ def distill_run(
     best-snapshot rule are training.run_epochs'.
     One log record per epoch: epoch, phase, method, train_loss (the mean
     loss per query, each training fact counting once per slot), llm_calls
-    (the handle's cumulative call count, which batches never change),
-    llm_hits, llm_misses and llm_unusable (the queries the epoch answered
-    from the cache, resolved without it, and got no usable scores for;
-    nonzero only in the epoch that resolves the shortlists), and valid_mrr
-    on evaluation epochs.
+    (the handle's cumulative call count), llm_hits, llm_misses and
+    llm_unusable (the queries the epoch answered from the cache, resolved
+    without it, and got no usable scores for; nonzero only in the epoch that
+    resolves the shortlists), and valid_mrr on evaluation epochs.
     """
     if teacher.backbone != student.params.backbone:
         raise ValueError(
@@ -469,20 +468,24 @@ def distill_run(
         raise ValueError("method 'ours' with lambda_llm > 0 needs an LLM handle; pass one or set lambda_llm = 0")
     if cfg.method == "fitnet" and student.fitnet_regressor is None:
         raise ValueError("fitnet needs a student with a regressor; build it with make_student(method='fitnet')")
-    vocab, train, targets = dataset.vocab, dataset.train, None
+    vocab = dataset.vocab
+    train = dataset.train
+    targets = None  # resolved at the first phase-2 epoch that aligns; set from then on
 
-    def start_epoch(epoch: int):
+    def epoch_fields(epoch: int) -> dict:
         nonlocal targets
         phase = 1 if epoch < cfg.phase1_epochs else 2
-        lam = cfg.lambda_llm if (cfg.method == "ours" and phase == 2) else 0.0
         llm_counts = {"llm_hits": 0, "llm_misses": 0, "llm_unusable": 0}
-        if lam > 0.0 and targets is None:
+        if cfg.method == "ours" and phase == 2 and cfg.lambda_llm > 0.0 and targets is None:
             targets, llm_counts = _phase2_targets(teacher, dataset, llm_handle, llm_cache, cfg.llm_topk, batch_size)
-        calls = int(getattr(llm_handle, "calls", 0)) if llm_handle is not None else 0
-        fields = {"phase": phase, "method": cfg.method, "llm_calls": calls, **llm_counts}
-        return (lambda batch: step(batch, lam)), fields
+        return {
+            "phase": phase,
+            "method": cfg.method,
+            "llm_calls": int(getattr(llm_handle, "calls", 0)) if llm_handle is not None else 0,
+            **llm_counts,
+        }
 
-    def step(batch: np.ndarray, lam: float):
+    def step(batch: np.ndarray):
         quads = train[batch]
         m = len(quads)
         grads = GradAccum(student.params)
@@ -507,9 +510,9 @@ def distill_run(
                 batch_loss += cfg.beta * float(np.sum(l_sup))
                 d_scores += cfg.beta * g_sup
 
-            if lam > 0.0:
+            if targets is not None:
                 top, llm_norm, usable = (t[batch, si] for t in targets)
-                terms = _align_rows(s_scores, top, llm_norm, usable, lam, cfg.delta, d_scores)
+                terms = _align_rows(s_scores, top, llm_norm, usable, cfg.lambda_llm, cfg.delta, d_scores)
                 for term in terms.tolist():  # one row at a time keeps the loss's summation order
                     batch_loss += term
 
@@ -521,7 +524,9 @@ def distill_run(
         if cfg.method == "fitnet":
             ids = sorted_unique(quads[:, [0, 2]])
             l_hint, g_emb, g_reg = fitnet_hint_loss(
-                student.params.entity_emb.values[ids], teacher.entity_emb.values[ids], student.fitnet_regressor.values
+                student.params.entity_emb.values[ids],
+                teacher.entity_emb.values[ids],
+                student.fitnet_regressor.values,
             )
             batch_loss += l_hint
             grads.add_rows("entity_emb", ids, g_emb)
@@ -531,13 +536,16 @@ def distill_run(
             if len(ids) > RKD_MAX_BATCH:
                 ids = np.sort(rng.choice(ids, size=RKD_MAX_BATCH, replace=False))
             if len(ids) >= 3:
-                l_rel, g_emb = rkd_loss(student.params.entity_emb.values[ids], teacher.entity_emb.values[ids])
+                l_rel, g_emb = rkd_loss(
+                    student.params.entity_emb.values[ids],
+                    teacher.entity_emb.values[ids],
+                )
                 batch_loss += l_rel
                 grads.add_rows("entity_emb", ids, g_emb.astype(student.params.entity_emb.dtype))
         return batch_loss, 2 * m, grads
 
-    epochs = cfg.phase1_epochs + (cfg.phase2_epochs if cfg.method == "ours" else 0)
+    total_epochs = cfg.phase1_epochs + (cfg.phase2_epochs if cfg.method == "ours" else 0)
     return run_epochs(
-        student, student.params, dataset, rng, start_epoch, epochs=epochs, batch_size=batch_size,
+        student, student.params, dataset, rng, step, epoch_fields, epochs=total_epochs, batch_size=batch_size,
         lr=lr, eps=eps, eval_every=eval_every, eval_mode=eval_mode, tie_policy=tie_policy,
     )

@@ -20,7 +20,8 @@ def run_epochs(
     params: Params,
     dataset,
     rng: np.random.Generator,
-    start_epoch: Callable[[int], tuple[Callable[[np.ndarray], tuple[float, int, GradAccum]], dict]],
+    step: Callable[[np.ndarray], tuple[float, int, GradAccum]],
+    epoch_fields: Callable[[int], dict],
     *,
     epochs: int,
     batch_size: int,
@@ -32,18 +33,14 @@ def run_epochs(
 ):
     """Train for epochs over the training split; returns (best snapshot of state, log).
 
-    state is what a snapshot copies, and params the parameters in it that
-    the steps update and validation scores.  Each epoch calls
-    start_epoch(epoch) for its batch step and the fields its log record adds,
-    then shuffles the training rows with one permutation, before any draw a
-    step makes.  step(rows) takes one batch's row indices and returns (loss,
-    weight, grads): the batch's mean loss, the number of terms it averages,
-    and the gradients of one adaptive-gradient step.  A loss that is not
-    finite raises RuntimeError.  Each record holds epoch, the fields, the
-    weight-averaged train_loss and, every eval_every epochs and after the
-    last, valid_mrr.  The first evaluation becomes the best snapshot, and a
-    later one replaces it only with a strictly better reciprocal-rank mean;
-    with an empty validation split the final state is returned.
+    state is what a snapshot copies; params, the parameters in it that step
+    updates and validation scores.  Each epoch takes its log fields from
+    epoch_fields(epoch), then draws one permutation of the training rows
+    before any draw a step makes.  step(rows) returns one batch's (mean
+    loss, weight, grads); a non-finite loss raises RuntimeError, and
+    train_loss is the weight-averaged loss.  valid_mrr is recorded every
+    eval_every epochs and after the last; a strictly better value replaces
+    the best snapshot, and without a validation split the final state wins.
     """
     if epochs < 0:
         raise ValueError("epochs must be non-negative")
@@ -53,12 +50,14 @@ def run_epochs(
         raise ValueError(f"eval_every must be at least 1, got {eval_every}")
     n = len(dataset.train)  # never 0: Dataset refuses an empty training split
     has_valid = len(dataset.valid) > 0
-    best, best_mrr = None, -np.inf
+    best = None
+    best_mrr = -np.inf
     log: list[dict] = []
     for epoch in range(epochs):
-        step, fields = start_epoch(epoch)
+        fields = epoch_fields(epoch)
         order = rng.permutation(n)
-        epoch_loss, total = 0.0, 0
+        epoch_loss = 0.0
+        total = 0
         for start in range(0, n, batch_size):
             loss, weight, grads = step(order[start : start + batch_size])
             if not np.isfinite(loss):
@@ -104,16 +103,15 @@ def train_supervised(
     """
     if neg_samples < 1:
         raise ValueError("neg_samples must be positive")
-    train, vocab = dataset.train, dataset.vocab
     fields = {"phase": "supervised", "method": params.backbone, "llm_calls": 0}
 
     def step(rows: np.ndarray):
-        batch = train[rows]
-        negatives = sample_negatives(batch, neg_samples, vocab, rng)
-        loss, grads = supervised_gradients(params, vocab, batch, negatives, margin=margin)
+        batch = dataset.train[rows]
+        negatives = sample_negatives(batch, neg_samples, dataset.vocab, rng)
+        loss, grads = supervised_gradients(params, dataset.vocab, batch, negatives, margin=margin)
         return loss, batch.shape[0], grads
 
     return run_epochs(
-        params, params, dataset, rng, lambda epoch: (step, fields), epochs=epochs, batch_size=batch_size,
+        params, params, dataset, rng, step, lambda epoch: fields, epochs=epochs, batch_size=batch_size,
         lr=lr, eps=eps, eval_every=eval_every, eval_mode=eval_mode, tie_policy=tie_policy,
     )
