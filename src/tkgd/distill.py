@@ -486,7 +486,7 @@ def distill_run(
         }
 
     def step(batch: np.ndarray):
-        quads = train[batch]
+        quads = np.take(train, batch, axis=0)
         m = len(quads)
         grads = GradAccum(student.params)
         batch_loss = 0.0

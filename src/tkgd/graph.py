@@ -785,9 +785,9 @@ def sample_negatives(
     negatives = np.repeat(batch, k, axis=0)
     cells = 4 * np.arange(n * k) + 2 * rng.integers(0, 2, size=(n, k)).reshape(-1)
     flat = negatives.reshape(-1)
-    original = flat[cells]
+    original = np.take(flat, cells)
     draws = rng.integers(0, n_e - 1, size=(n, k)).reshape(-1)
-    flat[cells] = draws + (draws >= original)
+    np.put(flat, cells, draws + (draws >= original))
     negatives = negatives.reshape(n, k, 4)
     return negatives[0] if facts.ndim == 1 else negatives
 

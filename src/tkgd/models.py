@@ -19,6 +19,16 @@ slots of the same rows and backprops them before the parameters change
 encodes once.  Sparse row gradients, the per-pair hidden-state gradients
 included, accumulate through numerics.scatter_add_rows.
 
+Rows are read with np.take(table, idx, axis=0), which copies the same bytes
+as table[idx] without the general fancy-indexing machinery.  A supervised
+batch gathers and checks its positives and negatives as one block and
+scatters each table once: concatenating one table's (rows, grads) in the
+order separate calls would make them gives every element the same sequence
+of adds, so the result is the same bits.  For the translation backbone the
+entity rows go positive subjects, positive objects, negative subjects,
+negative objects; relation and time rows go positives, then negatives.  For
+the recurrent backbone the entity rows go subjects, then objects.
+
 All gradients in this file are written out by hand; there is no autodiff
 anywhere.  Every backward path is validated against central finite
 differences in the test suite.
@@ -241,7 +251,7 @@ def lstm_forward(tokens: np.ndarray, params: TADistMultParams) -> tuple[np.ndarr
     if tokens.ndim not in (1, 2) or tokens.shape[-1] == 0:
         raise ValueError("tokens must be a non-empty (L,) sequence or an (n, L) batch")
     d = params.dim
-    x = params.token_emb.values[tokens]
+    x = np.take(params.token_emb.values, tokens, axis=0)
     pre_x = x @ params.w.values.T + params.b.values
     u_t = params.u.values.T
     gates = np.empty_like(pre_x)
@@ -320,9 +330,11 @@ def _ttranse_fixed_part(params: TTransEParams, quads: np.ndarray, slot: str) -> 
     ent = params.entity_emb.values
     rel = params.relation_emb.values
     tim = params.time_emb.values
+    p_rows = np.take(rel, quads[:, 1], axis=0)
+    t_rows = np.take(tim, quads[:, 3], axis=0)
     if slot == "object":
-        return ent[quads[:, 0]] + rel[quads[:, 1]] + tim[quads[:, 3]]
-    return ent[quads[:, 2]] - rel[quads[:, 1]] - tim[quads[:, 3]]
+        return np.take(ent, quads[:, 0], axis=0) + p_rows + t_rows
+    return np.take(ent, quads[:, 2], axis=0) - p_rows - t_rows
 
 
 def score_candidates(params: Params, cs: CandidateSet, vocab: Vocabulary) -> np.ndarray:
@@ -379,7 +391,7 @@ class GradAccum:
             else:
                 rows = np.nonzero(self._touched[name])[0]
                 if rows.size:
-                    adagrad_step(param, self._buf[name][rows], lr=lr, eps=eps, rows=rows)
+                    adagrad_step(param, np.take(self._buf[name], rows, axis=0), lr=lr, eps=eps, rows=rows)
 
     def dense_dict(self) -> dict[str, np.ndarray]:
         """Full-shape gradient arrays (zeros where untouched), for checking."""
@@ -460,7 +472,7 @@ def batch_candidate_scores(params: Params, encoding: QueryEncoding, slot: str) -
         return (-dist).astype(ent.dtype)
     pseqs, _, _ = encoding.parts
     fixed_idx = quads[:, 0] if slot == "object" else quads[:, 2]
-    w = ent[fixed_idx] * pseqs
+    w = np.take(ent, fixed_idx, axis=0) * pseqs
     return w @ ent.T
 
 
@@ -481,7 +493,7 @@ def _encode_pairs(params: TADistMultParams, vocab: Vocabulary, quads: np.ndarray
     digits = years[:, None] // 10 ** np.arange(YEAR_DIGITS - 1, -1, -1) % 10
     tokens = np.concatenate([(keys // n_b)[:, None], vocab.n_relations + digits], axis=1)
     states, cache = lstm_forward(tokens, params)
-    return states[inverse], cache, inverse
+    return np.take(states, inverse, axis=0), cache, inverse
 
 
 def _backprop_pairs(
@@ -531,7 +543,7 @@ def batch_candidate_backprop(
     # recurrent backbone: score[q, j] = sum_k ent[fixed_q] * ent[j] * pseq_q
     pseqs, cache, inverse = encoding.parts
     fixed_idx = quads[:, 0] if slot == "object" else quads[:, 2]
-    fixed_emb = ent[fixed_idx]
+    fixed_emb = np.take(ent, fixed_idx, axis=0)
     w = fixed_emb * pseqs  # (m, d)
 
     grad_ent_cand = dscores.T @ w  # candidate-side gradient, (|E|, d)
@@ -563,7 +575,12 @@ def supervised_gradients(
     gradient is the zero vector.  The recurrent backbone trains with the
     logistic softplus loss over positive and negative labels.  Losses are
     averaged so batch size does not rescale the learning rate.  An entity,
-    relation or bucket id outside the vocabulary raises ValueError.
+    relation or bucket id outside the vocabulary raises ValueError; the
+    positives and then the negatives are checked as one block, so the id
+    named is the first bad one in that order.  Each table takes one scatter
+    per batch, its rows and gradients concatenated in the order separate
+    calls would make them, so every element sees the same adds in the same
+    order.
 
     The translation backbone normalizes and scatters only the rows whose
     gradient can be nonzero: the negatives with an active hinge (slack > 0)
@@ -576,7 +593,9 @@ def supervised_gradients(
     unchanged, so not marking it touched changes nothing either.  The kept
     rows go through the same arithmetic as the dense form (v divided by
     where(d > 0, d, 1) first, then times the table-dtype weight
-    count / (n * k)), in the same call order and the same row order.  This
+    count / (n * k)), and their entity rows scatter in the dense form's call
+    order: subject then object rows of the positives, then of the
+    negatives, each block in row order.  This
     holds for finite parameters, the only kind ParamTensor accepts and an
     Adagrad step (which moves a value by at most lr) produces.
     """
@@ -587,62 +606,62 @@ def supervised_gradients(
     n, k = negatives.shape[:2]
     if n == 0 or k == 0:
         raise ValueError(f"supervised batch needs n >= 1 and k >= 1, got negatives of shape {negatives.shape}")
-    _check_ids(vocab, positives)
-    _check_ids(vocab, negatives.reshape(-1, 4))
+    all_quads = np.concatenate([positives, negatives.reshape(-1, 4)], axis=0)
+    _check_ids(vocab, all_quads)
     grads = GradAccum(params)
+    ent = params.entity_emb.values
 
     if params.backbone == "ttranse":
-        ent = params.entity_emb.values
-        rel = params.relation_emb.values
-        tim = params.time_emb.values
+        v = (
+            np.take(ent, all_quads[:, 0], axis=0)
+            + np.take(params.relation_emb.values, all_quads[:, 1], axis=0)
+            - np.take(ent, all_quads[:, 2], axis=0)
+            + np.take(params.time_emb.values, all_quads[:, 3], axis=0)
+        )
+        dist = np.sqrt(np.add.reduce(v * v, axis=1))  # np.linalg.norm's formula without its conj() copy
 
-        def diffs(quads: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-            v = ent[quads[:, 0]] + rel[quads[:, 1]] - ent[quads[:, 2]] + tim[quads[:, 3]]
-            d = np.linalg.norm(v, axis=1)
-            return v, d
-
-        def weighted_units(v: np.ndarray, d: np.ndarray, count: np.ndarray) -> np.ndarray:
-            # v / |v| (zero at zero distance) times count / (n * k) in the table dtype
-            return v / np.where(d > 0, d, 1.0)[:, None] * (count.astype(v.dtype) / (n * k))[:, None]
-
-        def scatter(quads: np.ndarray, g: np.ndarray) -> None:
-            # g is the gradient of s + p - o + t
-            grads.add_rows("entity_emb", quads[:, 0], g)
-            grads.add_rows("relation_emb", quads[:, 1], g)
-            grads.add_rows("time_emb", quads[:, 3], g)
-            grads.add_rows("entity_emb", quads[:, 2], -g)
-
-        v_pos, d_pos = diffs(positives)
-        flat_neg = negatives.reshape(-1, 4)
-        v_neg, d_neg = diffs(flat_neg)
-
-        slack = margin + d_pos[:, None] - d_neg.reshape(n, k)
+        slack = margin + dist[:n, None] - dist[n:].reshape(n, k)
         active = slack > 0
         total = float(np.sum(np.where(active, slack, 0.0)))
         loss = total / (n * k)
 
+        # the kept rows of all_quads, positives first, with their active-hinge counts
         hits = active.sum(axis=1)
         pos = np.flatnonzero(hits)
-        scatter(positives[pos], weighted_units(v_pos[pos], d_pos[pos], hits[pos]))
         neg = np.flatnonzero(active)
-        scatter(flat_neg[neg], -weighted_units(v_neg[neg], d_neg[neg], np.ones(len(neg), dtype=np.int64)))
+        kept = np.concatenate([pos, n + neg])
+        count = np.concatenate([hits[pos], np.ones(len(neg), dtype=hits.dtype)])
+        d_kept = np.take(dist, kept)
+        # g, the gradient of s + p - o + t: v / |v| (zero at zero distance) times
+        # count / (n * k) in the table dtype, negated for the negatives
+        g = np.take(v, kept, axis=0) / np.where(d_kept > 0, d_kept, 1.0)[:, None]
+        g *= (count.astype(v.dtype) / (n * k))[:, None]
+        m = len(pos)
+        np.negative(g[m:], out=g[m:])
+        quads = np.take(all_quads, kept, axis=0)
+        # one scatter per table, entity rows in the per-block call order
+        ent_rows = np.concatenate([quads[:m, 0], quads[:m, 2], quads[m:, 0], quads[m:, 2]])
+        grads.add_rows("entity_emb", ent_rows, np.concatenate([g[:m], -g[:m], g[m:], -g[m:]]))
+        grads.add_rows("relation_emb", quads[:, 1], g)
+        grads.add_rows("time_emb", quads[:, 3], g)
         return loss, grads
 
-    all_quads = np.concatenate([positives, negatives.reshape(-1, 4)], axis=0)
-    ent = params.entity_emb.values
     labels = np.concatenate([np.ones(n, dtype=ent.dtype), -np.ones(n * k, dtype=ent.dtype)])
 
     pseqs, cache, inverse = _encode_pairs(params, vocab, all_quads)
 
-    s_emb = ent[all_quads[:, 0]]
-    o_emb = ent[all_quads[:, 2]]
+    s_emb = np.take(ent, all_quads[:, 0], axis=0)
+    o_emb = np.take(ent, all_quads[:, 2], axis=0)
     scores = np.sum(s_emb * o_emb * pseqs, axis=1)
     z = -labels * scores
     loss = float(np.mean(_softplus(z)))
     dscore = (-labels * _sigmoid(z)) / len(all_quads)
 
-    grads.add_rows("entity_emb", all_quads[:, 0], dscore[:, None] * o_emb * pseqs)
-    grads.add_rows("entity_emb", all_quads[:, 2], dscore[:, None] * s_emb * pseqs)
+    grads.add_rows(
+        "entity_emb",
+        np.concatenate([all_quads[:, 0], all_quads[:, 2]]),
+        np.concatenate([dscore[:, None] * o_emb * pseqs, dscore[:, None] * s_emb * pseqs]),
+    )
 
     _backprop_pairs(params, cache, inverse, dscore[:, None] * s_emb * o_emb, grads)
     return loss, grads

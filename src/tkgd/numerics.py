@@ -3,6 +3,13 @@
 All kernels operate on plain numpy arrays and never allocate hidden state, so
 the same code path serves 32-bit training and 64-bit oracle evaluation; the
 dtype of the arrays passed in decides which one you get.
+
+scatter_add_rows, which every sparse gradient goes through, views an
+even-width float buffer and gradients of its dtype as complex pairs: a
+complex add is two independent IEEE adds, one per lane, so adding pairs in
+the row-wise index order gives the same bits with half the index and half
+the np.add.at elements.  Odd widths and mixed dtypes keep the real flat
+path.
 """
 from __future__ import annotations
 
@@ -133,30 +140,49 @@ def adagrad_step(
         rows = np.asarray(rows, dtype=np.int64)
         if g.shape != (len(rows),) + param.values.shape[1:]:
             raise ValueError("row gradient shape does not match the selected rows")
-        acc = param.accum[rows] + g * g
+        acc = np.take(param.accum, rows, axis=0) + g * g
         param.accum[rows] = acc
+        vals = np.take(param.values, rows, axis=0)
         if eps == 0:
-            param.values[rows] -= np.divide(lr * g, np.sqrt(acc), out=np.zeros_like(g), where=g != 0)
+            vals -= np.divide(lr * g, np.sqrt(acc), out=np.zeros_like(g), where=g != 0)
         else:
-            param.values[rows] -= lr * g / (np.sqrt(acc) + eps)
+            vals -= lr * g / (np.sqrt(acc) + eps)
+        param.values[rows] = vals
     return param
+
+
+# native-order float dtypes and the complex dtypes whose two lanes are one pair of them
+_PAIR_DTYPES = {np.dtype(np.float32): np.complex64, np.dtype(np.float64): np.complex128}
 
 
 def scatter_add_rows(buf: np.ndarray, rows: np.ndarray, grads: np.ndarray) -> None:
     """In place, buf[rows[i]] += grads[i] for every i; repeated rows all count.
 
-    buf is a C-contiguous (n, d) array and grads is (len(rows), d).  The
-    scatter runs as one np.add.at over the flattened buffer, which adds each
-    element's contributions in index order exactly as the row-wise
-    np.add.at(buf, rows, grads) does, so the result is the same bits; the
-    flat form skips the per-row subspace iteration and is several times
-    faster at small d.
+    buf is a C-contiguous (n, d) array, rows is 1-D and grads is
+    (len(rows), d); any other grads shape raises ValueError, so a stray
+    broadcast never spreads one value over whole rows.  The scatter runs as
+    one np.add.at over the flattened buffer, which adds each element's
+    contributions in index order exactly as the row-wise
+    np.add.at(buf, rows, grads) does, so the result is the same bits.  When d
+    is even and buf and grads share a float32 or float64 dtype, both are
+    viewed as complex64 or complex128 pairs first: a complex add is two
+    independent IEEE adds, one per lane, in the same index order, so the
+    bits still match while the flat index and the np.add.at element count
+    halve.  Any other input (odd d, mixed dtypes, which keep their promoted
+    arithmetic, non-native byte order, integers) takes the real flat path.
     """
     if buf.ndim != 2 or not buf.flags.c_contiguous:
         raise ValueError("scatter_add_rows needs a C-contiguous 2-D buffer")
+    rows = np.asarray(rows, dtype=np.int64)
+    grads = np.asarray(grads)
     d = buf.shape[1]
-    flat = (np.asarray(rows, dtype=np.int64)[:, None] * d + np.arange(d)).reshape(-1)
-    np.add.at(buf.reshape(-1), flat, np.asarray(grads).reshape(-1))
+    if rows.ndim != 1 or grads.shape != (len(rows), d):
+        raise ValueError(f"grads of shape {grads.shape} do not match rows of shape {rows.shape} in an (n, {d}) buffer")
+    flat_buf, flat_grads = buf.reshape(-1), grads.reshape(-1)
+    pair = _PAIR_DTYPES.get(buf.dtype)
+    if pair is not None and d % 2 == 0 and grads.dtype == buf.dtype:
+        flat_buf, flat_grads, d = flat_buf.view(pair), flat_grads.view(pair), d // 2
+    np.add.at(flat_buf, (rows[:, None] * d + np.arange(d)).reshape(-1), flat_grads)
 
 
 def sorted_unique(values) -> np.ndarray:

@@ -106,7 +106,7 @@ def train_supervised(
     fields = {"phase": "supervised", "method": params.backbone, "llm_calls": 0}
 
     def step(rows: np.ndarray):
-        batch = dataset.train[rows]
+        batch = np.take(dataset.train, rows, axis=0)
         negatives = sample_negatives(batch, neg_samples, dataset.vocab, rng)
         loss, grads = supervised_gradients(params, dataset.vocab, batch, negatives, margin=margin)
         return loss, batch.shape[0], grads

@@ -256,6 +256,27 @@ class TestIdRangeCheck:
             supervised_gradients(params, vocab, quads[1:], quads[:1][None])
 
     @pytest.mark.parametrize("backbone", ["ttranse", "tadistmult"])
+    @pytest.mark.parametrize("col,bad,kind", CASES)
+    def test_bad_negative_gives_the_same_message(self, backbone, col, bad, kind):
+        # positives and negatives are checked as one block; a bad id in the
+        # negatives is named as a check of the negatives alone would name it,
+        # and one in the positives is named first
+        vocab = _vocab(4, 3, [1900, 1910, 1920, 1930])
+        params = init_params(backbone, 4, 4, 3, 4, seed=0, dtype=np.float64)
+        positives = np.array([[0, 1, 2, 1], [1, 2, 3, 0]])
+        negatives = np.array([[[0, 0, 3, 1], [2, 1, 2, 1]], [[1, 2, 0, 0], [3, 2, 3, 0]]])
+        negatives[1, 0, col] = bad
+        with pytest.raises(ValueError) as alone:
+            encode_queries(params, vocab, negatives.reshape(-1, 4))
+        with pytest.raises(ValueError) as joint:
+            supervised_gradients(params, vocab, positives, negatives)
+        assert str(joint.value) == str(alone.value)
+        assert str(joint.value).startswith(f"{kind} id {bad} outside")
+        positives[0, 1] = 7
+        with pytest.raises(ValueError, match="relation id 7 outside"):
+            supervised_gradients(params, vocab, positives, negatives)
+
+    @pytest.mark.parametrize("backbone", ["ttranse", "tadistmult"])
     def test_ids_at_the_bounds_pass(self, backbone):
         vocab = _vocab(4, 3, [1900, 1910, 1920, 1930])
         params = init_params(backbone, 4, 4, 3, 4, seed=0, dtype=np.float64)
@@ -851,8 +872,25 @@ class TestHingeSparseStep:
         params, vocab, positives, negatives = self._batch(np.float32)
         active = self._active(params, positives, negatives, margin)
         supervised_gradients(params, vocab, positives, negatives, margin=margin)
-        assert len(rows) == 8
+        # one scatter per table: entity (s and o rows), relation, time
+        assert len(rows) == 3
         assert sum(rows) == 4 * int((active.sum(axis=1) > 0).sum()) + 4 * int(active.sum())
+
+    def test_tadistmult_scatters_once_per_table(self, monkeypatch):
+        rows = []
+
+        def counting(buf, idx, grads):
+            rows.append(len(idx))
+            scatter_add_rows(buf, idx, grads)
+
+        monkeypatch.setattr(models, "scatter_add_rows", counting)
+        params = init_params("tadistmult", 6, self.E, self.R, self.B, seed=7)
+        _, vocab, positives, negatives = self._batch(np.float32)
+        supervised_gradients(params, vocab, positives, negatives)
+        all_quads = np.concatenate([positives, negatives.reshape(-1, 4)])
+        n_pairs = len(np.unique(all_quads[:, [1, 3]], axis=0))
+        # entity rows (s then o), pair states, tokens
+        assert rows == [2 * len(all_quads), len(all_quads), n_pairs * (1 + models.YEAR_DIGITS)]
 
 
 class TestBatchBackprop:

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -169,8 +171,19 @@ class TestAdagrad:
 class TestScatterAddRows:
     """scatter_add_rows must give the same bytes as the row-wise np.add.at."""
 
+    @staticmethod
+    def _assert_same_as_row_wise(start, rows, grads):
+        want, got = start.copy(), start.copy()
+        np.add.at(want, rows, grads)
+        scatter_add_rows(got, rows, grads)
+        # NaN stays NaN; its payload bits are not part of the contract
+        nan = np.isnan(want)
+        np.testing.assert_array_equal(np.isnan(got), nan)
+        assert got[~nan].tobytes() == want[~nan].tobytes()
+        return got
+
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
-    @pytest.mark.parametrize("n_rows,d,m", [(5, 1, 40), (50, 32, 1408), (7, 3, 0), (1, 4, 9)])
+    @pytest.mark.parametrize("n_rows,d,m", [(5, 1, 40), (50, 32, 1408), (7, 3, 0), (1, 4, 9), (6, 2, 0), (9, 5, 77), (9, 6, 77)])
     def test_bytes_equal_row_wise_add_at(self, rng, dtype, n_rows, d, m):
         start = rng.normal(size=(n_rows, d)).astype(dtype)
         want, got = start.copy(), start.copy()
@@ -181,6 +194,71 @@ class TestScatterAddRows:
             np.add.at(want, rows, grads)
             scatter_add_rows(got, rows, grads)
             assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("d", [1, 2, 3, 4, 7, 32])
+    def test_float64_grads_keep_promoted_arithmetic(self, rng, d):
+        # a float32 buffer takes float64 gradients as each sum in float64, rounded once to float32
+        start = rng.normal(size=(4, d)).astype(np.float32)
+        grads = rng.normal(size=(4, d)) * 1e-4
+        got = self._assert_same_as_row_wise(start, np.arange(4), grads)
+        assert got.tobytes() == (start.astype(np.float64) + grads).astype(np.float32).tobytes()
+        # 1 + (2**-24 + 2**-50) is exact in float64 and rounds up to 1 + 2**-23; in
+        # float32 the gradient rounds to 2**-24 and the tie rounds to even, 1.0
+        got = self._assert_same_as_row_wise(np.ones((1, d), np.float32), np.array([0]), np.full((1, d), 2.0**-24 + 2.0**-50))
+        assert (got == np.float32(1 + 2.0**-23)).all()
+        # with repeated rows too
+        self._assert_same_as_row_wise(start, rng.integers(0, 4, size=30), rng.normal(size=(30, d)))
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("d", [1, 2, 3, 4, 6])
+    def test_signed_zeros_and_infinities(self, rng, dtype, d):
+        specials = np.array([0.0, -0.0, np.inf, -np.inf, 1.5], dtype=dtype)
+        start = rng.choice(specials, size=(5, d))
+        rows = rng.integers(0, 5, size=40)
+        with np.errstate(invalid="ignore"):  # inf + -inf
+            got = self._assert_same_as_row_wise(start, rows, rng.choice(specials, size=(40, d)))
+        assert np.isnan(got).any()
+        # -0.0 + -0.0 stays -0.0, and +0.0 wins once it is added
+        zeros = np.full((1, d), -0.0, dtype=dtype)
+        got = self._assert_same_as_row_wise(zeros, np.array([0, 0]), np.full((2, d), -0.0, dtype=dtype))
+        assert np.signbit(got).all()
+        got = self._assert_same_as_row_wise(zeros, np.array([0]), np.zeros((1, d), dtype=dtype))
+        assert not np.signbit(got).any()
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("d", [3, 4, 32])
+    def test_non_contiguous_grads(self, rng, dtype, d):
+        start = rng.normal(size=(8, d)).astype(dtype)
+        rows = rng.integers(0, 8, size=50)
+        transposed = rng.normal(size=(d, 50)).astype(dtype).T
+        assert not transposed.flags.c_contiguous
+        self._assert_same_as_row_wise(start, rows, transposed)
+        strided = rng.normal(size=(100, 2 * d)).astype(dtype)[::2, ::2]
+        self._assert_same_as_row_wise(start, rows, strided)
+
+    @pytest.mark.parametrize("dtype", [">f4", ">f8"])
+    def test_non_native_byte_order(self, rng, dtype):
+        start = rng.normal(size=(6, 4)).astype(dtype)
+        self._assert_same_as_row_wise(start, rng.integers(0, 6, size=20), rng.normal(size=(20, 4)).astype(dtype))
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("d", [1, 2, 5])
+    def test_empty_rows_leave_buffer_unchanged(self, rng, dtype, d):
+        start = rng.normal(size=(3, d)).astype(dtype)
+        got = self._assert_same_as_row_wise(start, np.array([], dtype=np.int64), np.zeros((0, d), dtype=dtype))
+        assert got.tobytes() == start.tobytes()
+
+    @pytest.mark.parametrize(
+        "rows,grads_shape",
+        [([0, 2], (1, 1)), ([0, 2], (2, 1)), ([0, 2], (1, 4)), ([0, 2], (8,)), ([0, 2], (2, 4, 1)), ([[0, 2]], (1, 4))],
+    )
+    def test_mismatched_grads_rejected(self, rows, grads_shape):
+        # a broadcast would spread one value over whole rows
+        buf = np.zeros((3, 4))
+        rows = np.array(rows)
+        with pytest.raises(ValueError, match=re.escape(str(grads_shape)) + ".*" + re.escape(str(rows.shape))):
+            scatter_add_rows(buf, rows, np.full(grads_shape, 5.0))
+        assert not buf.any()
 
     def test_repeated_rows_all_count(self):
         buf = np.ones((3, 2))
