@@ -18,6 +18,10 @@ __all__ = ["ConfigError", "RunConfig", "parse_config", "LLM_MODES"]
 
 LLM_MODES = ("none", "remote", "mock-echo", "mock-planted", "mock-noise")
 
+# The longest llm.timeout and llm.min_interval accepted, in seconds (one day).
+# Socket timeouts and sleeps overflow near 9.2e9 s, far above it.
+MAX_LLM_WAIT_S = 86_400.0
+
 _TRUE = {"1", "true", "yes", "on"}
 _FALSE = {"0", "false", "no", "off"}
 
@@ -231,6 +235,10 @@ def _validate(cfg: RunConfig) -> None:
             _fail("llm.model", "is required when llm.mode is 'remote'")
     if cfg.llm_retries < 1:
         _fail("llm.retries", "must be at least 1")
+    if not 0 < cfg.llm_timeout <= MAX_LLM_WAIT_S:
+        _fail("llm.timeout", f"must be positive and at most {MAX_LLM_WAIT_S:g} seconds, got {cfg.llm_timeout}")
+    if not 0 <= cfg.llm_min_interval <= MAX_LLM_WAIT_S:
+        _fail("llm.min_interval", f"must lie in [0, {MAX_LLM_WAIT_S:g}] seconds, got {cfg.llm_min_interval}")
     if cfg.eval_mode not in MODES:
         _fail("eval.mode", f"must be one of {MODES}, got {cfg.eval_mode!r}")
     if cfg.tie_policy not in TIE_POLICIES:

@@ -10,11 +10,12 @@ integer code columns (_assign_ids): parsed names are coded first, synthetic
 facts and save_dataset's reload bring their own codes.  Years map to buckets
 through one searchsorted (Vocabulary.buckets_for_years, the only year-to-bucket
 mapping).  Synthetic facts are read from the seed's PCG64 words in bulk, every
-attempt a chunk of words can start at once (generate_synthetic).  Facts are
-also addressed by integer keys over (E, R, B), the entity, relation and bucket
-counts: duplicate rows are found by key, and KnownFacts, the filtered-ranking
-index, is two sorted key arrays read a block of queries at a time, so every
-key must fit in int64.
+attempt a chunk of words can start at once, and the few attempts that bulk
+table cannot read are drawn by the seed's own Generator (generate_synthetic).
+Facts are also addressed by integer keys over (E, R, B), the entity, relation
+and bucket counts: duplicate rows are found by key, and KnownFacts, the
+filtered-ranking index, is two sorted key arrays read a block of queries at a
+time, so every key must fit in int64.
 
 save_dataset also writes a binary copy of what parsing its text gives back
 (names, bucket years, the three id arrays) together with the SHA-256 of the
@@ -177,6 +178,12 @@ def _check_key_range(n_entities: int, n_relations: int, n_buckets: int) -> None:
         )
 
 
+def _check_slot(slot: str) -> None:
+    """Raise ValueError naming slot unless it is "subject" or "object"."""
+    if slot not in ("subject", "object"):
+        raise ValueError(f"slot must be 'subject' or 'object', got {slot!r}")
+
+
 class KnownFacts:
     """Index of every fact in the dataset as two sorted int64 key arrays.
 
@@ -227,7 +234,8 @@ class KnownFacts:
         return keys, base, start, stop
 
     def keep_mask(self, quads: np.ndarray, slot: str, n_entities: int) -> np.ndarray:
-        """(m, n_entities) filtered-candidate mask: other known completions drop, the truth stays."""
+        """(m, n_entities) filtered-candidate mask: other known completions drop, the truth stays; a bad slot raises."""
+        _check_slot(slot)
         quads = np.asarray(quads, dtype=np.int64).reshape(-1, 4)
         keys, base, start, stop = self._ranges(quads, slot)
         counts = stop - start
@@ -816,52 +824,6 @@ def _split_buckets_by_share(
     return set(ordered[: cut1 + 1]), set(ordered[cut1 + 1 : cut2 + 1]), set(ordered[cut2 + 1 :])
 
 
-def _pcg64_draws(next_word: Callable[[], int], half: int) -> tuple[Callable, Callable, Callable]:
-    """Scalar draws from a PCG64 word stream: (integers, random, buffered).
-
-    next_word gives the next 64-bit word as a Python int; half is the 32-bit
-    half buffered before the first draw, and buffered() the one buffered now
-    (-1 for none).  On a Generator's words and state, integers(n) and random()
-    give what Generator.integers(0, n) and Generator.random() would, bit for
-    bit, by NumPy's arithmetic (distributions.c), tested against the Generator:
-    - For n <= 2**32, Lemire's bounded integer on a 32-bit value x: m = x * n,
-      redrawn while m mod 2**32 < (2**32 - n) % n, result m >> 32.  The 32-bit
-      values are the low and then the high half of each word; a buffered half
-      comes first.  n == 1 draws nothing.
-    - For n > 2**32, the same on whole words modulo 2**64.
-    - random() is (word >> 11) * 2**-53 and leaves a buffered half alone.
-    The threshold is below n, so it is only computed when m mod 2**32 (or
-    2**64) is below n.
-    """
-
-    def integers(n: int) -> int:
-        nonlocal half
-        if n == 1:
-            return 0
-        if n > 0x1_0000_0000:
-            while True:
-                m = next_word() * n
-                low = m & 0xFFFF_FFFF_FFFF_FFFF
-                if low >= n or low >= (0x1_0000_0000_0000_0000 - n) % n:
-                    return m >> 64
-        while True:
-            if half < 0:
-                word = next_word()
-                half = word >> 32
-                m = (word & 0xFFFF_FFFF) * n
-            else:
-                m = half * n
-                half = -1
-            low = m & 0xFFFF_FFFF
-            if low >= n or low >= (0x1_0000_0000 - n) % n:
-                return m >> 32
-
-    def random() -> float:
-        return (next_word() >> 11) * 2.0**-53
-
-    return integers, random, lambda: half
-
-
 def _attempt_table(
     words: np.ndarray, bounds: tuple[int, int, int], offsets: np.ndarray, coin_below: int, key_type
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -903,23 +865,16 @@ def _attempt_table(
 
 
 def _draw_facts(rng: np.random.Generator, n_facts: int, bounds: tuple, offsets: np.ndarray, strength: float):
-    """The first n_facts distinct (s, p, o, t) that generate_synthetic's attempts draw from rng, as an array."""
+    """The first n_facts distinct (s, p, o, t) that generate_synthetic's attempts draw from rng, as an array.
+
+    An attempt _attempt_table cannot read is drawn by rng itself, put at that attempt's state; a new chunk follows.
+    """
     n_e, n_r, n_b = bounds
-    state = rng.bit_generator.state
-    half = int(state["uinteger"]) if state["has_uint32"] else -1
+    bits = rng.bit_generator
     shifts = offsets.tolist()
     key_type = np.int64 if n_e * n_e * n_r * n_b <= np.iinfo(np.int64).max else object
-    words, pos, h = np.zeros(0, dtype=np.uint64), 0, None  # h: the table state; None: a new chunk at (pos, half)
-
-    def next_word() -> int:
-        nonlocal words, pos
-        if pos == len(words):
-            words = np.concatenate([words, rng.bit_generator.random_raw(64)])
-        pos += 1
-        return int(words[pos - 1])
-
     max_attempts = 200 * n_facts + 1000
-    seen, attempts = {}, 0
+    seen, attempts, h = {}, 0, None  # h: the table state; None: a new chunk from rng's state
     while len(seen) < n_facts:
         if attempts == max_attempts:
             raise DataError(
@@ -928,11 +883,11 @@ def _draw_facts(rng: np.random.Generator, n_facts: int, bounds: tuple, offsets: 
                 "than the full cross product)"
             )
         if h is None:  # about 3.3 words per fact still missing (an attempt reads 2.6 at the benchmark's shapes)
-            size, unread = min(4096, max(256, math.ceil(3.3 * (n_facts - len(seen))))), words[pos:]
-            fresh = rng.bit_generator.random_raw(max(size - len(unread), 0))
-            words = np.concatenate([np.array([max(half, 0) << 32], dtype=np.uint64), unread, fresh])
+            start = bits.state
+            head = np.array([start["uinteger"] << 32 if start["has_uint32"] else 0], dtype=np.uint64)
+            words = np.concatenate([head, bits.random_raw(min(4096, max(256, math.ceil(3.3 * (n_facts - len(seen))))))])
             table, keys = _attempt_table(words, bounds, offsets, math.ceil(strength * 2.0**53), key_type)
-            pos, end, nxt, h = 1, len(words), memoryview(table), 1 if half >= 0 else 2
+            nxt, h = memoryview(table), 1 if start["has_uint32"] else 2
         path = []
         while (following := nxt[h]) >= 0:  # memoryview: Python ints without a list of every state
             path.append(h)
@@ -942,18 +897,20 @@ def _draw_facts(rng: np.random.Generator, n_facts: int, bounds: tuple, offsets: 
             attempts += len(path)
             seen.update(dict.fromkeys(keys[path].tolist()))
             continue
-        pos = (h + 1) >> 1
-        integers, random, buffered = _pcg64_draws(next_word, int(words[h >> 1]) >> 32 if h & 1 else -1)
-        p, t = integers(n_r), integers(n_b)
-        if random() < strength:
-            s = integers(n_e - shifts[p])
+        bits.state = start
+        bits.advance((h + 1) // 2 - 1)  # words[k] is the k-th word drawn after start
+        state = bits.state
+        state["has_uint32"], state["uinteger"] = (1, int(words[h // 2]) >> 32) if h & 1 else (0, 0)
+        bits.state = state
+        p, t = int(rng.integers(0, n_r)), int(rng.integers(0, n_b))
+        if rng.random() < strength:
+            s = int(rng.integers(0, n_e - shifts[p]))
             o = s + shifts[p]
         else:
-            s, o = integers(n_e), integers(n_e)
+            s, o = int(rng.integers(0, n_e)), int(rng.integers(0, n_e))
         seen[((s * n_r + p) * n_e + o) * n_b + t] = None
         attempts += 1
-        half = buffered()
-        h = 2 * pos - (half >= 0) if pos < end and half in (-1, int(words[pos - 1]) >> 32) else None
+        h = None
     keys = np.array(list(seen)[:n_facts], dtype=key_type)
     return np.column_stack((keys // (n_r * n_e * n_b), keys // (n_e * n_b) % n_r, keys // n_b % n_e, keys % n_b))
 
@@ -980,12 +937,13 @@ def generate_synthetic(
     without them raise DataError.  _draw_facts reads the seed's PCG64 words
     in chunks of about 3.3 per fact still missing, and _attempt_table reads
     the attempt from every start state of a chunk in bulk.  A short loop
-    follows the next states from the Generator's state; the few attempts
-    the table cannot read (a redraw, a bound above 2**32, an end outside the
-    chunk) go through _pcg64_draws, the scalar reader, from the same state.
-    The tests compare both readers with the live Generator and the old
-    per-draw loop, so a NumPy change to those methods fails them.  Counts
-    above 2**63, the largest high Generator.integers(0, high) takes, raise.
+    follows the next states from the Generator's state; each attempt the
+    table cannot read (a redraw, a bound above 2**32, an end outside the
+    chunk) is drawn by the Generator itself, put at that attempt's state,
+    and the next chunk starts from where it stops.  The tests compare the
+    result with the old per-draw loop, so a NumPy change to the draws the
+    table copies fails them.  Counts above 2**63, the largest high
+    Generator.integers(0, high) takes, raise.
     """
     if min(n_entities, n_relations, n_buckets, n_facts) < 1:
         raise DataError("entity, relation, bucket and fact counts must all be positive")

@@ -20,7 +20,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .graph import DataError, SyntheticRule, Vocabulary
+from .graph import DataError, SyntheticRule, Vocabulary, _check_slot
 from .models import Params, batch_candidate_scores, encode_queries, score_quadruple
 
 logger = logging.getLogger(__name__)
@@ -127,8 +127,7 @@ def make_query(quad, slot: str, candidate_ids: np.ndarray, vocab: Vocabulary) ->
 
 def _render_prompt(quad, slot: str, candidate_ids: np.ndarray, vocab: Vocabulary) -> tuple[str, list[int]]:
     """make_query's prompt text and candidate ids, after its checks on slot and candidates."""
-    if slot not in ("subject", "object"):
-        raise ValueError(f"slot must be 'subject' or 'object', got {slot!r}")
+    _check_slot(slot)
     candidate_ids = np.asarray(candidate_ids, dtype=np.int64)
     if candidate_ids.size == 0:
         raise ValueError("candidate list is empty")
@@ -299,8 +298,8 @@ class RemoteTeacher(TeacherHandle):
         backoff: float = 0.5,
     ):
         super().__init__(model_id)
-        if not endpoint:
-            raise ValueError("remote teacher needs an endpoint URL")
+        if not endpoint.lower().startswith(("http://", "https://")):  # urlopen would also read file: and ftp: URLs
+            raise ValueError(f"remote teacher needs an http:// or https:// endpoint URL, got {endpoint!r}")
         self.endpoint = endpoint
         self.timeout = timeout
         self.max_retries = max_retries
@@ -309,9 +308,11 @@ class RemoteTeacher(TeacherHandle):
         self._last_request = 0.0
 
     def complete(self, query: LlmQuery) -> str:
-        # requests is the slowest import in the package and only this client needs
-        # it, so commands that never call a remote endpoint never load it
-        import requests
+        # urllib.request loads http.client, email and ssl, and only this client
+        # needs it, so commands that never call a remote endpoint never load it
+        import http.client
+        import urllib.error
+        import urllib.request
 
         self.calls += 1
         headers = {"Content-Type": "application/json"}
@@ -326,6 +327,7 @@ class RemoteTeacher(TeacherHandle):
             ],
             "temperature": 0,
         }
+        body = json.dumps(payload).encode("utf-8")
         last_error: Exception | None = None
         for attempt in range(self.max_retries):
             if self.min_interval > 0:
@@ -335,28 +337,30 @@ class RemoteTeacher(TeacherHandle):
             delay = self.backoff * (2.0**attempt)
             try:
                 self._last_request = time.monotonic()
-                resp = requests.post(self.endpoint, json=payload, headers=headers, timeout=self.timeout)
-            except requests.RequestException as exc:
+                request = urllib.request.Request(self.endpoint, data=body, headers=headers, method="POST")
+                with urllib.request.urlopen(request, timeout=self.timeout) as resp:
+                    raw = resp.read()
+            except urllib.error.HTTPError as exc:  # a status urlopen does not return (4xx, 5xx, 307 on a POST)
+                exc.close()
+                if exc.code in (401, 403):
+                    raise LlmAuthError(f"authentication failed: endpoint returned HTTP {exc.code}") from None
+                last_error = LlmTransportError(f"endpoint returned HTTP {exc.code}")
+                retry_after = exc.headers.get("Retry-After", "").strip()
+                if exc.code == 429 and re.fullmatch(r"[0-9]+", retry_after):
+                    delay = min(float(retry_after), MAX_RETRY_AFTER)
+            except (OSError, http.client.HTTPException, ValueError) as exc:  # transport, protocol or bad URL
                 last_error = exc
             else:
-                if resp.status_code in (401, 403):
-                    raise LlmAuthError(f"authentication failed: endpoint returned HTTP {resp.status_code}")
-                if resp.status_code >= 400:
-                    last_error = LlmTransportError(f"endpoint returned HTTP {resp.status_code}")
-                    retry_after = resp.headers.get("Retry-After", "").strip()
-                    if resp.status_code == 429 and re.fullmatch(r"[0-9]+", retry_after):
-                        delay = min(float(retry_after), MAX_RETRY_AFTER)
+                try:
+                    content = json.loads(raw)["choices"][0]["message"]["content"]
+                except (ValueError, LookupError, TypeError) as exc:
+                    last_error = LlmTransportError(f"malformed completion payload: {exc}")
                 else:
-                    try:
-                        content = resp.json()["choices"][0]["message"]["content"]
-                    except (ValueError, LookupError, TypeError) as exc:
-                        last_error = LlmTransportError(f"malformed completion payload: {exc}")
-                    else:
-                        if isinstance(content, str):
-                            return content
-                        last_error = LlmTransportError(
-                            f"malformed completion payload: content is {type(content).__name__}, not a string"
-                        )
+                    if isinstance(content, str):
+                        return content
+                    last_error = LlmTransportError(
+                        f"malformed completion payload: content is {type(content).__name__}, not a string"
+                    )
             if attempt < self.max_retries - 1:
                 time.sleep(delay)
         raise LlmTransportError(f"request failed after {self.max_retries} attempts: {last_error}")

@@ -39,7 +39,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graph import CandidateSet, Vocabulary
+from .graph import CandidateSet, Vocabulary, _check_slot
 from .numerics import ParamTensor, adagrad_step, scatter_add_rows
 
 __all__ = [
@@ -409,12 +409,6 @@ def _check_ids(vocab: Vocabulary, quads: np.ndarray) -> None:
         row, col = np.argwhere(bad)[0]
         what = ("entity", "relation", "entity", "bucket")[col]
         raise ValueError(f"{what} id {int(quads[row, col])} outside [0, {int(bounds[col])})")
-
-
-def _check_slot(slot: str) -> None:
-    """Raise ValueError naming slot unless it is "subject" or "object"."""
-    if slot not in ("subject", "object"):
-        raise ValueError(f"slot must be 'subject' or 'object', got {slot!r}")
 
 
 def _ttranse_distances(

@@ -111,7 +111,9 @@ class TestLazyPackage:
         assert _fresh_python("import sys, tkgd.cli; print('numpy' in sys.modules)") == "False"
 
     def test_only_the_remote_teacher_loads_requests(self):
-        assert _fresh_python("import sys, tkgd.llm; print('requests' in sys.modules)") == "False"
+        # requests is no dependency; the remote teacher imports urllib.request when it first posts
+        code = "import sys, tkgd.llm; print('requests' in sys.modules, 'urllib.request' in sys.modules)"
+        assert _fresh_python(code) == "False False"
 
     def test_reexports_resolve_after_their_submodules(self):
         code = """
@@ -363,6 +365,22 @@ class TestFailureModes:
         assert main(["prepare", "--config", cfg]) == 1
         err = capsys.readouterr().err
         assert len(err.splitlines()) == 1 and err.startswith("error: ") and "2**63" in err
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize(
+        "key, value",
+        [("timeout", v) for v in ("inf", "nan", "0", "-1", "1e10")]
+        + [("min_interval", v) for v in ("inf", "-inf", "nan", "-0.5", "1e10")],
+    )
+    def test_bad_llm_timing(self, tmp_path, monkeypatch, capsys, key, value):
+        # past about 9.2e9 s (inf included) a socket timeout raises OverflowError mid-request
+        monkeypatch.chdir(tmp_path)
+        remote = f"[llm]\nmode = remote\nendpoint = http://127.0.0.1:9/chat\nmodel = m\n{key} = {value}\n"
+        cfg = _write(tmp_path, BASE_CONFIG.replace("[llm]\nmode = mock-planted\n", remote))
+        capsys.readouterr()
+        assert main(["cache-llm", "--config", cfg]) == 1
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1 and err.startswith(f"error: llm.{key}: ")
         assert "Traceback" not in err
 
     @pytest.mark.parametrize("key, value", [("method", "nope"), ("phase1_epochs", "-1"), ("phase2_epochs", "-1")])

@@ -770,6 +770,12 @@ class TestKnownFactsIndex:
         mask = known.keep_mask(np.array([[0, 0, 1, 0], [2, 0, 0, 0]]), "object", 3)
         assert mask.all()
 
+    @pytest.mark.parametrize("slot", ["subjet", "Object", ""])
+    def test_keep_mask_rejects_a_bad_slot(self, slot):
+        known = KnownFacts([(0, 0, 1, 0), (1, 0, 2, 0)])
+        with pytest.raises(ValueError, match=r"slot must be 'subject' or 'object', got " + repr(slot)):
+            known.keep_mask(np.array([[0, 0, 1, 0]]), slot, 3)
+
     def test_dataset_with_empty_split(self):
         ds = generate_synthetic(9, 2, 2, 40, 0.8, seed=2)  # two buckets leave valid empty
         assert len(ds.valid) == 0

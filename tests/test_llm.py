@@ -627,6 +627,11 @@ class TestRemoteTeacher:
         with pytest.raises(ValueError):
             RemoteTeacher("", "some-model")
 
+    @pytest.mark.parametrize("endpoint", ["file:///etc/hostname", "ftp://127.0.0.1/chat", "127.0.0.1:9/chat"])
+    def test_needs_an_http_endpoint(self, endpoint):
+        with pytest.raises(ValueError, match="http:// or https://"):
+            RemoteTeacher(endpoint, "some-model")
+
     def test_unreachable_endpoint_raises_transport_error(self, tiny_vocab):
         handle = RemoteTeacher(
             "http://127.0.0.1:9/chat", "some-model", max_retries=2, backoff=0.01, timeout=2

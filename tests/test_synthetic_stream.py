@@ -1,13 +1,11 @@
 """generate_synthetic reads its seed's PCG64 words itself; pin it to the Generator.
 
-The scalar reader in graph._pcg64_draws reproduces Generator.integers(0, n)
-and Generator.random() from raw words, and graph._attempt_table reads whole
-attempts from them in bulk.  These tests compare the reader with the live
-Generator, so a NumPy change to either method fails here, and compare
-generate_synthetic with its former per-draw loop, kept below as the oracle.
+graph._attempt_table reads whole attempts from the raw words in bulk, copying
+Generator.integers(0, n) and Generator.random(); each attempt it cannot read
+is drawn by the Generator itself.  These tests compare generate_synthetic
+with its former per-draw loop, kept below as the oracle, so a NumPy change to
+either method fails here, and check that both ways of drawing are used.
 """
-from itertools import chain, repeat
-
 import numpy as np
 import pytest
 
@@ -18,7 +16,6 @@ from tkgd.graph import (
     SyntheticRule,
     _build_dataset,
     _name_codes,
-    _pcg64_draws,
     _split_buckets_by_share,
     _SplitColumns,
     generate_synthetic,
@@ -92,8 +89,8 @@ def reference_generate_synthetic(n_entities, n_relations, n_buckets, n_facts, pa
 # bucket, both extreme strengths, more than 2**32 entities (entity draws take
 # whole words; only the entities drawn enter the vocabulary), 2**31 + 1
 # entities (entity draws redraw about half the time, and fact keys leave
-# int64), bounds of 1 for relations and buckets, and enough facts that the
-# walk crosses chunks.
+# int64), bounds of 1 for relations and buckets, enough facts that the walk
+# crosses chunks, and the two datasets the benchmark builds.
 SHAPES = [
     (1, 3, 4, 12, 0.5),
     (2, 1, 5, 18, 0.7),
@@ -108,6 +105,8 @@ SHAPES = [
     (2**31 + 1, 3, 4, 40, 0.5),
     (40, 1, 1, 300, 0.9),
     (50, 4, 10, 6000, 0.9),
+    (50, 4, 10, 1000, 0.9),
+    (500, 20, 50, 20000, 0.9),
 ]
 
 
@@ -143,8 +142,8 @@ class TestAgainstPerDrawLoop:
         "counts", [(2**63 + 1, 2, 2), (2**64, 2, 2), (2**70, 2, 2), (2, 2**63 + 1, 2), (2, 2, 2**63 + 1)]
     )
     def test_count_numpy_cannot_draw_raises(self, counts):
-        # Generator.integers(0, high) refuses high above 2**63; the bulk reader
-        # would return data the per-draw loop cannot give, or loop forever
+        # Generator.integers(0, high) refuses high above 2**63, so without the
+        # count check the draw would end in a bare ValueError, not DataError
         with pytest.raises(ValueError):
             np.random.default_rng(0).integers(0, max(counts))
         with pytest.raises(DataError, match=r"at most 2\*\*63"):
@@ -152,90 +151,29 @@ class TestAgainstPerDrawLoop:
 
 
 class TestBulkWalk:
-    """The table reads every attempt it can; the scalar reader draws only the rest."""
+    """The table reads every attempt it can; the Generator draws only the rest."""
 
     @pytest.fixture
-    def counts(self, monkeypatch):
-        """Calls of the scalar reader (one per scalar attempt) and of the table (one per chunk)."""
-        counts = {"scalar": 0, "chunks": 0}
-        for name, kind in (("_pcg64_draws", "scalar"), ("_attempt_table", "chunks")):
-            real = getattr(graph, name)
+    def chunks(self, monkeypatch):
+        """Calls of the table, one per chunk: every chunk after the first follows one Generator-drawn attempt."""
+        calls = []
+        real = graph._attempt_table
 
-            def counted(*args, _real=real, _kind=kind):
-                counts[_kind] += 1
-                return _real(*args)
+        def counted(*args):
+            calls.append(args)
+            return real(*args)
 
-            monkeypatch.setattr(graph, name, counted)
-        return counts
+        monkeypatch.setattr(graph, "_attempt_table", counted)
+        return calls
 
-    def test_typical_shape_reads_the_table(self, counts):
-        # a chunk ends in an attempt that runs past its last word, and only that one is scalar
+    def test_typical_shape_reads_the_table(self, chunks):
+        # a chunk ends in an attempt that runs past its last word, which the Generator draws
         generate_synthetic(500, 20, 50, 20000, 0.9, seed=1)
-        assert counts["chunks"] > 1
-        assert counts["scalar"] <= counts["chunks"]
+        assert len(chunks) > 1
 
-    def test_redraws_go_to_the_scalar_reader(self, counts):
-        # 40 facts take at least 40 attempts, so fewer scalar ones leave some to the table
+    def test_redraws_go_to_the_scalar_reader(self, chunks):
+        # the scalar reader is the Generator: at most one attempt per chunk, and
+        # 40 facts take at least 40 attempts, so fewer than 40 chunks leave some
+        # to the table
         generate_synthetic(2**31 + 1, 3, 4, 40, 0.5, seed=1)
-        assert 0 < counts["scalar"] < 40
-
-
-WORD_CHUNK = 1024
-
-
-def generator_words(rng):
-    """rng's raw words as a next_word source, drawn WORD_CHUNK at a time, and its buffered half."""
-    state = rng.bit_generator.state
-    words = chain.from_iterable(map(np.ndarray.tolist, map(rng.bit_generator.random_raw, repeat(WORD_CHUNK))))
-    return words.__next__, int(state["uinteger"]) if state["has_uint32"] else -1
-
-
-def drawn_pairs(seed, ns, n_draws, buffered):
-    """(reader, Generator) values for n_draws interleaved draws.
-
-    n cycles through ns; every third draw is random().  With buffered, a
-    vectorized integers() of odd length first leaves a 32-bit half behind.
-    The reader's buffered half must end as the Generator's.
-    """
-    live = np.random.default_rng(seed)
-    copy = np.random.default_rng(seed)
-    if buffered:
-        live.integers(1, 6, size=3)
-        copy.integers(1, 6, size=3)
-        assert copy.bit_generator.state["has_uint32"] == 1
-    integers, random, held = _pcg64_draws(*generator_words(copy))
-    got, want = [], []
-    for i in range(n_draws):
-        if i % 3 == 2:
-            got.append(random())
-            want.append(live.random())
-        else:
-            n = ns[i % len(ns)]
-            got.append(integers(n))
-            want.append(int(live.integers(0, n)))
-    state = live.bit_generator.state
-    assert held() == (state["uinteger"] if state["has_uint32"] else -1)
-    return got, want
-
-
-class TestReaderAgainstGenerator:
-    @pytest.mark.parametrize("buffered", [False, True])
-    def test_small_bounds(self, buffered):
-        # random() alone reads WORD_CHUNK words here, so the draws cross chunks
-        for seed in (0, 5, 1009):
-            got, want = drawn_pairs(seed, [1, 2, 50, 1, 7], 3 * WORD_CHUNK + 3, buffered)
-            assert all(type(v) is float for v in got[2::3])
-            assert got == want
-
-    @pytest.mark.parametrize("buffered", [False, True])
-    def test_bounds_that_reject_often(self, buffered):
-        # the redraw threshold (2**32 - n) % n is about half and a quarter of
-        # 2**32 here, so the redraw loop runs on a large share of draws
-        got, want = drawn_pairs(11, [2**31 + 1, 3 * 2**30], 30_000, buffered)
-        assert got == want
-
-    def test_whole_word_bounds(self):
-        # 2**32 is the last bound drawn from a 32-bit half; above it NumPy
-        # draws whole words, and 3 * 2**61 rejects about a quarter of them
-        got, want = drawn_pairs(3, [2**32, 2**32 + 1, 3 * 2**61, 5], 3000, True)
-        assert got == want
+        assert 1 < len(chunks) < 40
