@@ -21,7 +21,6 @@ _EXPORTS = {
         "CandidateSet",
         "Dataset",
         "DataError",
-        "LoadSchema",
         "Quadruple",
         "Vocabulary",
         "build_candidates",

@@ -112,13 +112,13 @@ def _write_jsonl(path: Path, records: list[dict]) -> None:
 
 
 def _resolve_dataset(cfg):
-    from .graph import LoadSchema, generate_synthetic, load_quadruples
+    from .graph import generate_synthetic, load_quadruples
 
     if cfg.synthetic:
         return generate_synthetic(
             cfg.n_entities, cfg.n_relations, cfg.n_buckets, cfg.n_facts, cfg.pattern_strength, cfg.seed
         )
-    return load_quadruples(cfg.dataset_path, LoadSchema(time_field=cfg.time_field))
+    return load_quadruples(cfg.dataset_path, cfg.time_field)
 
 
 def _make_llm_handle(cfg, teacher, dataset):

@@ -22,6 +22,11 @@ LLM_MODES = ("none", "remote", "mock-echo", "mock-planted", "mock-noise")
 # Socket timeouts and sleeps overflow near 9.2e9 s, far above it.
 MAX_LLM_WAIT_S = 86_400.0
 
+# The largest model.teacher_dim, model.student_dim and train.neg_samples
+# accepted, the largest int64: NumPy sizes and draw counts past it raise
+# mid-command.
+MAX_SIZE = 2**63 - 1
+
 _TRUE = {"1", "true", "yes", "on"}
 _FALSE = {"0", "false", "no", "off"}
 
@@ -193,8 +198,8 @@ def _validate(cfg: RunConfig) -> None:
     if cfg.backbone not in BACKBONES:
         _fail("model.backbone", f"must be one of {BACKBONES}, got {cfg.backbone!r}")
     for key, val in (("model.teacher_dim", cfg.teacher_dim), ("model.student_dim", cfg.student_dim)):
-        if val < 1:
-            _fail(key, f"must be at least 1, got {val}")
+        if not 1 <= val <= MAX_SIZE:
+            _fail(key, f"must lie in [1, {MAX_SIZE}], got {val}")
     if cfg.teacher_dim < cfg.student_dim:
         logger.warning(
             "teacher_dim %d is smaller than student_dim %d; the capacity gap is inverted",
@@ -209,8 +214,8 @@ def _validate(cfg: RunConfig) -> None:
         _fail("train.lr", "must be positive")
     if not cfg.eps > 0:
         _fail("train.eps", "must be positive")
-    if cfg.neg_samples < 1:
-        _fail("train.neg_samples", "must be at least 1")
+    if not 1 <= cfg.neg_samples <= MAX_SIZE:
+        _fail("train.neg_samples", f"must lie in [1, {MAX_SIZE}], got {cfg.neg_samples}")
     if cfg.eval_every < 1:
         _fail("train.eval_every", "must be at least 1")
     if cfg.synthetic:

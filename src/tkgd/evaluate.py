@@ -99,14 +99,14 @@ def rank_of(
     return int(ranks[0]) if scores.ndim == 1 else ranks
 
 
-def metrics_from_ranks(ranks: np.ndarray, ks: tuple[int, ...] = HITS_KS) -> tuple[float, float, dict[int, float]]:
-    """MR, MRR and Hits@k for a vector of 1-indexed ranks."""
+def metrics_from_ranks(ranks: np.ndarray) -> tuple[float, float, dict[int, float]]:
+    """MR, MRR and Hits@k, k in HITS_KS, for a vector of 1-indexed ranks."""
     ranks = np.asarray(ranks, dtype=np.float64)
     if ranks.size == 0:
         raise DataError("cannot aggregate metrics over zero queries")
     mr = float(ranks.mean())
     mrr = float((1.0 / ranks).mean())
-    hits = {k: float((ranks <= k).mean()) for k in ks}
+    hits = {k: float((ranks <= k).mean()) for k in HITS_KS}
     return mr, mrr, hits
 
 

@@ -20,8 +20,7 @@ time, so every key must fit in int64.
 save_dataset also writes a binary copy of what parsing its text gives back
 (names, bucket years, the three id arrays) together with the SHA-256 of the
 split files' bytes.  load_quadruples reads that copy instead of parsing when
-the digest still matches the files on disk and the schema reads the columns
-save_dataset writes; in every other case, and whenever the copy is missing,
+the digest still matches the files on disk; whenever the copy is missing,
 stale or unreadable, it parses the text.  Loading never writes.
 """
 from __future__ import annotations
@@ -61,7 +60,6 @@ __all__ = [
     "Vocabulary",
     "Dataset",
     "KnownFacts",
-    "LoadSchema",
     "CandidateSet",
     "SyntheticRule",
     "load_quadruples",
@@ -323,15 +321,15 @@ class Dataset:
     Splits are int64 arrays of shape (n, 4) with columns (s, p, o, t).  Rows
     keep the source facts one-to-one; facts distinct only by year can land in
     the same bucket (buckets come from train years, other years clamp to the
-    nearest one), so a split may carry repeated rows.  known holds the union
-    of all three splits for filtered evaluation.
+    nearest one), so a split may carry repeated rows.  known, built from the
+    splits, holds their union for filtered evaluation.
     """
 
     vocab: Vocabulary
     train: np.ndarray
     valid: np.ndarray
     test: np.ndarray
-    known: KnownFacts = field(default=None)  # type: ignore[assignment]
+    known: KnownFacts = field(init=False)
     rule: SyntheticRule | None = None
 
     def __post_init__(self) -> None:
@@ -350,8 +348,7 @@ class Dataset:
                 raise DataError(f"{name} split references an unknown relation id")
             if arr[:, 3].max() >= self.vocab.n_buckets:
                 raise DataError(f"{name} split references an unknown time bucket")
-        if self.known is None:
-            self.known = KnownFacts(np.concatenate([self.train, self.valid, self.test], axis=0))
+        self.known = KnownFacts(np.concatenate([self.train, self.valid, self.test], axis=0))
 
     def split(self, name: str) -> np.ndarray:
         if name not in SPLIT_NAMES:
@@ -370,29 +367,6 @@ class Dataset:
         for name in SPLIT_NAMES:
             h.update(np.ascontiguousarray(self.split(name)).tobytes())
         return h.hexdigest()
-
-
-@dataclass(frozen=True)
-class LoadSchema:
-    """Column layout of the tab-separated fact files.
-
-    Files carry subject, relation, object and a begin time, with an optional
-    end time in the fifth column.  time_field picks which endpoint defines
-    the fact's bucket; when that endpoint's year is wildcarded the other
-    endpoint fills in, and facts with no usable year at all are dropped with
-    a warning.
-    """
-
-    subject_col: int = 0
-    relation_col: int = 1
-    object_col: int = 2
-    begin_col: int = 3
-    end_col: int = 4
-    time_field: str = "begin"
-
-    def __post_init__(self) -> None:
-        if self.time_field not in ("begin", "end"):
-            raise DataError(f"time_field must be 'begin' or 'end', got {self.time_field!r}")
 
 
 class _SplitColumns(NamedTuple):
@@ -422,8 +396,14 @@ def read_utf8_text(path: Path) -> str:
     return text.replace("\r\n", "\n").replace("\r", "\n") if "\r" in text else text
 
 
-def _read_split_file(path: Path, schema: LoadSchema) -> _SplitColumns:
+def _read_split_file(path: Path, time_field: str) -> _SplitColumns:
     r"""Parse one split file column-wise into name columns and a year array.
+
+    Each line holds subject, relation, object and a begin time, tab-separated,
+    with an optional end time in a fifth field.  time_field ("begin" or "end")
+    picks the endpoint that gives the fact its year; when that endpoint's year
+    is wildcarded or absent the other one fills in, and facts with no usable
+    year at all are dropped with a warning.
 
     Lines end at "\n" (the file is read with read_utf8_text, so "\r\n" and
     "\r" end lines too); whitespace-only lines are skipped.  Each distinct
@@ -434,13 +414,12 @@ def _read_split_file(path: Path, schema: LoadSchema) -> _SplitColumns:
     """
     lines = read_utf8_text(path).split("\n")
     rows = [line.split("\t") for line in lines if line.strip()]
-    min_fields = max(schema.subject_col, schema.relation_col, schema.object_col, schema.begin_col) + 1
+    min_fields = 4
     short = len(rows)
     if min(map(len, rows), default=min_fields) < min_fields:
         short = next(i for i, fields in enumerate(rows) if len(fields) < min_fields)
-    end_col = schema.end_col
-    begin_tokens = list(map(itemgetter(schema.begin_col), rows[:short]))
-    end_tokens = [fields[end_col] if end_col < len(fields) else None for fields in rows[:short]]
+    begin_tokens = list(map(itemgetter(3), rows[:short]))
+    end_tokens = [fields[4] if len(fields) > 4 else None for fields in rows[:short]]
 
     year_of: dict[str | None, int] = {None: _NO_YEAR}
     errors: dict[str, DataError] = {}
@@ -461,10 +440,10 @@ def _read_split_file(path: Path, schema: LoadSchema) -> _SplitColumns:
 
     begin = np.fromiter(map(year_of.__getitem__, begin_tokens), np.int64, len(rows))
     end = np.fromiter(map(year_of.__getitem__, end_tokens), np.int64, len(rows))
-    first, second = (begin, end) if schema.time_field == "begin" else (end, begin)
+    first, second = (begin, end) if time_field == "begin" else (end, begin)
     years = np.where(first != _NO_YEAR, first, second)
     usable = years != _NO_YEAR
-    names = [list(map(itemgetter(col), rows)) for col in (schema.subject_col, schema.relation_col, schema.object_col)]
+    names = [list(map(itemgetter(col), rows)) for col in range(3)]
     if not usable.all():
         logger.warning("%s: dropped %d facts with no usable year", path, int((~usable).sum()))
         names = [list(compress(col, usable)) for col in names]
@@ -542,28 +521,29 @@ def _assign_ids(
     return vocab, arrays, dropped
 
 
-def load_quadruples(path: str | Path, schema: LoadSchema | None = None) -> Dataset:
+def load_quadruples(path: str | Path, time_field: str = "begin") -> Dataset:
     """Load a dataset directory holding train.txt, valid.txt and test.txt.
 
-    A directory written by save_dataset also holds the binary copy
-    (COPY_NAME); when the schema reads the columns save_dataset writes and the
-    copy's digest matches the split files on disk, the dataset comes from the
-    copy, exactly as parsing would give it, and the text is only hashed.
-    Otherwise the files are parsed.  A rule.json sidecar, if present, restores
-    the planted pattern of a synthetic dataset so rule-aware components keep
-    working after a round trip through files.
+    time_field, "begin" or "end" (else DataError), is _read_split_file's.  A
+    directory written by save_dataset also holds the binary copy (COPY_NAME);
+    when its digest matches the split files on disk, the dataset comes from
+    the copy, exactly as parsing would give it under either time_field, and
+    the text is only hashed.  Otherwise the files are parsed.  A rule.json
+    sidecar, if present, restores the planted pattern of a synthetic dataset
+    so rule-aware components keep working after a round trip through files.
     """
-    schema = schema or LoadSchema()
+    if time_field not in ("begin", "end"):
+        raise DataError(f"time_field must be 'begin' or 'end', got {time_field!r}")
     root = Path(path)
     if not root.is_dir():
         raise DataError(f"dataset directory not found: {root}")
-    cached = _read_copy(root) if _reads_written_columns(schema) else None
+    cached = _read_copy(root)
     columns: dict[str, _SplitColumns] = {}
     for split in SPLIT_NAMES if cached is None else ():
         fpath = root / f"{split}.txt"
         if not fpath.is_file():
             raise DataError(f"missing split file: {fpath}")
-        columns[split] = _read_split_file(fpath, schema)
+        columns[split] = _read_split_file(fpath, time_field)
     rule_path = root / "rule.json"
     rule = SyntheticRule.from_json(rule_path.read_bytes(), source=str(rule_path)) if rule_path.is_file() else None
     ds = _build_dataset(*_name_codes(columns), rule, str(root)) if cached is None else cached
@@ -639,12 +619,6 @@ def _check_writable(vocab: Vocabulary) -> None:
             ok = False
         if not ok:
             raise DataError(f"cannot save time bucket year {year}: it does not read back as a year")
-
-
-def _reads_written_columns(schema: LoadSchema) -> bool:
-    """Whether schema reads save_dataset's four columns as they were written (time_field aside)."""
-    cols = (schema.subject_col, schema.relation_col, schema.object_col, schema.begin_col)
-    return cols == (0, 1, 2, 3) and schema.end_col > 3
 
 
 def _text_digest(texts: list[bytes]) -> str:
@@ -800,10 +774,8 @@ def sample_negatives(
     return negatives[0] if facts.ndim == 1 else negatives
 
 
-def _split_buckets_by_share(
-    bucket_counts: dict[int, int], shares: tuple[float, float, float] = (0.8, 0.1, 0.1)
-) -> tuple[set[int], set[int], set[int]]:
-    """Partition bucket ids (ascending) into train/valid/test by fact share.
+def _split_buckets_by_share(bucket_counts: dict[int, int]) -> tuple[set[int], set[int], set[int]]:
+    """Partition bucket ids (ascending) into train/valid/test by fact shares of 0.8, 0.1 and 0.1.
 
     Whole buckets are assigned in time order, so validation and test facts
     are never earlier than training facts.  With three or more buckets every
@@ -817,9 +789,9 @@ def _split_buckets_by_share(
         return {ordered[0]}, set(), {ordered[1]}
     total = sum(bucket_counts.values())
     cum = np.cumsum([bucket_counts[b] for b in ordered])
-    cut1 = int(np.searchsorted(cum, shares[0] * total))
+    cut1 = int(np.searchsorted(cum, 0.8 * total))
     cut1 = min(max(cut1, 0), n - 3)
-    cut2 = int(np.searchsorted(cum, (shares[0] + shares[1]) * total))
+    cut2 = int(np.searchsorted(cum, (0.8 + 0.1) * total))
     cut2 = min(max(cut2, cut1 + 1), n - 2)
     return set(ordered[: cut1 + 1]), set(ordered[cut1 + 1 : cut2 + 1]), set(ordered[cut2 + 1 :])
 

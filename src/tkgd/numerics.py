@@ -113,7 +113,8 @@ def adagrad_step(
 ) -> ParamTensor:
     """One in-place Adagrad update.
 
-    accum += grad**2; values -= lr * grad / (sqrt(accum) + eps).
+    accum += grad**2; values -= lr * grad / (sqrt(accum) + eps), for lr > 0
+    and eps > 0 (either not positive raises ValueError).
 
     With rows given, grad holds one row per entry of rows and only those rows
     of the parameter are touched; all other rows keep their values and
@@ -121,8 +122,8 @@ def adagrad_step(
     """
     if lr <= 0:
         raise ValueError(f"learning rate must be positive, got {lr}")
-    if eps < 0:
-        raise ValueError(f"epsilon must be nonnegative, got {eps}")
+    if not eps > 0:
+        raise ValueError(f"epsilon must be positive, got {eps}")
     g = np.asarray(grad, dtype=param.values.dtype)
     if not np.all(np.isfinite(g)):
         raise ValueError("gradient contains non-finite entries")
@@ -130,12 +131,7 @@ def adagrad_step(
         if g.shape != param.values.shape:
             raise ValueError(f"gradient shape {g.shape} does not match parameter shape {param.shape}")
         param.accum += g * g
-        if eps == 0:
-            # 0/0 protection: zero-gradient coordinates stay untouched
-            step = np.divide(lr * g, np.sqrt(param.accum), out=np.zeros_like(g), where=g != 0)
-            param.values -= step
-        else:
-            param.values -= lr * g / (np.sqrt(param.accum) + eps)
+        param.values -= lr * g / (np.sqrt(param.accum) + eps)
     else:
         rows = np.asarray(rows, dtype=np.int64)
         if g.shape != (len(rows),) + param.values.shape[1:]:
@@ -143,10 +139,7 @@ def adagrad_step(
         acc = np.take(param.accum, rows, axis=0) + g * g
         param.accum[rows] = acc
         vals = np.take(param.values, rows, axis=0)
-        if eps == 0:
-            vals -= np.divide(lr * g, np.sqrt(acc), out=np.zeros_like(g), where=g != 0)
-        else:
-            vals -= lr * g / (np.sqrt(acc) + eps)
+        vals -= lr * g / (np.sqrt(acc) + eps)
         param.values[rows] = vals
     return param
 

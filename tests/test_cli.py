@@ -383,6 +383,33 @@ class TestFailureModes:
         assert len(err.splitlines()) == 1 and err.startswith(f"error: llm.{key}: ")
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize(
+        "section, key, command",
+        [("model", "teacher_dim", "train-teacher"), ("model", "student_dim", "distill"),
+         ("train", "neg_samples", "train-teacher")],
+    )
+    @pytest.mark.parametrize("value", [2**63, 10**23])
+    def test_size_past_int64_refused(self, tmp_path, monkeypatch, capsys, section, key, command, value):
+        # 10**23 ended in a traceback: TypeError from init_params' np.sqrt, OverflowError from negative sampling
+        monkeypatch.chdir(tmp_path)
+        if command == "distill":
+            assert main(["train-teacher", "--config", _write(tmp_path, name="teacher.ini")]) == 0
+        cfg = _write(tmp_path, _with(BASE_CONFIG, **{key: str(value)}))
+        capsys.readouterr()
+        assert main([command, "--config", cfg]) == 1
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1 and err.startswith(f"error: {section}.{key}: ")
+        assert "Traceback" not in err
+
+    def test_time_field_must_be_begin_or_end(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        cfg = _write(tmp_path, BASE_CONFIG.replace("[dataset]\n", "[dataset]\ntime_field = middle\n"))
+        capsys.readouterr()
+        assert main(["prepare", "--config", cfg]) == 1
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1 and err.startswith("error: dataset.time_field: ")
+        assert "'middle'" in err
+
     @pytest.mark.parametrize("key, value", [("method", "nope"), ("phase1_epochs", "-1"), ("phase2_epochs", "-1")])
     def test_bad_distill_setting(self, tmp_path, monkeypatch, capsys, key, value):
         monkeypatch.chdir(tmp_path)

@@ -13,7 +13,7 @@ from tkgd.graph import (
     filter_candidates,
     generate_synthetic,
 )
-from tkgd.evaluate import brute_force_oracle, evaluate, metrics_from_ranks, rank_of
+from tkgd.evaluate import HITS_KS, brute_force_oracle, evaluate, metrics_from_ranks, rank_of
 from tkgd.models import TTransEParams, init_params
 from tkgd.numerics import ParamTensor
 
@@ -183,9 +183,10 @@ class TestMetrics:
         with pytest.raises(DataError):
             metrics_from_ranks(np.array([], dtype=np.int64))
 
-    def test_custom_cutoffs(self):
-        _, _, hits = metrics_from_ranks(np.array([2, 5]), ks=(2, 5))
-        assert hits == {2: 0.5, 5: 1.0}
+    def test_hits_cutoffs(self):
+        _, _, hits = metrics_from_ranks(np.array([2, 3, 10, 11]))
+        assert tuple(hits) == HITS_KS == (1, 3, 10)
+        assert hits == {1: 0.0, 3: 0.5, 10: 0.75}
 
 
 def _hand_built_dataset():

@@ -14,7 +14,6 @@ from tkgd.graph import (
     DataError,
     Dataset,
     KnownFacts,
-    LoadSchema,
     Quadruple,
     SyntheticRule,
     Vocabulary,
@@ -38,10 +37,10 @@ GRAPH_LOGGER = logging.getLogger("tkgd.graph")
 # ---------------------------------------------------------------------------
 
 
-def _reference_read_split_file(path, schema):
+def _reference_read_split_file(path, time_field):
     rows = []
     dropped = 0
-    min_fields = max(schema.subject_col, schema.relation_col, schema.object_col, schema.begin_col) + 1
+    min_fields = 4
     with path.open("r", encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
             line = line.rstrip("\n").rstrip("\r")
@@ -52,15 +51,15 @@ def _reference_read_split_file(path, schema):
                 raise DataError(
                     f"{path} line {lineno}: expected at least {min_fields} tab-separated fields, got {len(fields)}"
                 )
-            begin = parse_time_token(fields[schema.begin_col])
-            end = parse_time_token(fields[schema.end_col]) if schema.end_col < len(fields) else None
-            year = begin if schema.time_field == "begin" else end
+            begin = parse_time_token(fields[3])
+            end = parse_time_token(fields[4]) if len(fields) > 4 else None
+            year = begin if time_field == "begin" else end
             if year is None:
-                year = end if schema.time_field == "begin" else begin
+                year = end if time_field == "begin" else begin
             if year is None:
                 dropped += 1
                 continue
-            rows.append((fields[schema.subject_col], fields[schema.relation_col], fields[schema.object_col], year))
+            rows.append((fields[0], fields[1], fields[2], year))
     if dropped:
         GRAPH_LOGGER.warning("%s: dropped %d facts with no usable year", path, dropped)
     return rows
@@ -113,8 +112,8 @@ def _reference_build_dataset(named_splits, origin):
     return Dataset(vocab=vocab, train=arrays["train"], valid=arrays["valid"], test=arrays["test"])
 
 
-def _reference_load(root, schema):
-    named = {split: _reference_read_split_file(root / f"{split}.txt", schema) for split in SPLIT_NAMES}
+def _reference_load(root, time_field="begin"):
+    named = {split: _reference_read_split_file(root / f"{split}.txt", time_field) for split in SPLIT_NAMES}
     return _reference_build_dataset(named, origin=str(root))
 
 
@@ -253,12 +252,16 @@ class TestLoading:
         from pathlib import Path
 
         fixtures = Path(__file__).parent / "fixtures"
-        ds = load_quadruples(fixtures / "mini", LoadSchema(time_field="end"))
+        ds = load_quadruples(fixtures / "mini", "end")
         assert (len(ds.train), len(ds.valid), len(ds.test)) == (12, 3, 3)
         # 'bob friend_of carol 1986-01-01 1987-01-01' now indexes by 1987
         v = ds.vocab
         row = [v.entity_id("bob"), v.relation_id("friend_of"), v.entity_id("carol"), v.time_buckets.index(1987)]
         assert any((r == row).all() for r in ds.train)
+
+    def test_time_field_must_be_begin_or_end(self):
+        with pytest.raises(DataError, match="time_field must be 'begin' or 'end', got 'middle'"):
+            load_quadruples(FIXTURES / "mini", "middle")
 
     def test_short_line_reports_position(self, tmp_path):
         (tmp_path / "train.txt").write_text("A\tr\tB\t1984\nA\tr\n")
@@ -354,9 +357,8 @@ class TestColumnWiseLoading:
     @pytest.mark.parametrize("time_field", ["begin", "end"])
     def test_mini_fixture(self, time_field, caplog):
         caplog.set_level(logging.WARNING, logger="tkgd")
-        schema = LoadSchema(time_field=time_field)
-        got, got_warnings = _warnings(caplog, lambda: load_quadruples(FIXTURES / "mini", schema))
-        want, want_warnings = _warnings(caplog, lambda: _reference_load(FIXTURES / "mini", schema))
+        got, got_warnings = _warnings(caplog, lambda: load_quadruples(FIXTURES / "mini", time_field))
+        want, want_warnings = _warnings(caplog, lambda: _reference_load(FIXTURES / "mini", time_field))
         self._assert_same(got, want)
         assert got_warnings == want_warnings
         assert len(got_warnings) == 2  # one year-less fact, one duplicate
@@ -366,9 +368,8 @@ class TestColumnWiseLoading:
     def test_matches_line_by_line_reference(self, case, time_field, tmp_path, caplog):
         caplog.set_level(logging.WARNING, logger="tkgd")
         root = _write_splits(tmp_path / case, *LOADING_CASES[case])
-        schema = LoadSchema(time_field=time_field)
-        got, got_warnings = _warnings(caplog, lambda: load_quadruples(root, schema))
-        want, want_warnings = _warnings(caplog, lambda: _reference_load(root, schema))
+        got, got_warnings = _warnings(caplog, lambda: load_quadruples(root, time_field))
+        want, want_warnings = _warnings(caplog, lambda: _reference_load(root, time_field))
         self._assert_same(got, want)
         assert got_warnings == want_warnings
 
@@ -404,14 +405,14 @@ class TestColumnWiseLoading:
         assert got.digest() == want.digest()
 
 
-def _load_logged(caplog, root, schema=None):
+def _load_logged(caplog, root, time_field="begin"):
     """(dataset, INFO and higher messages) of one load_quadruples call."""
     caplog.clear()
-    ds = load_quadruples(root, schema)
+    ds = load_quadruples(root, time_field)
     return ds, [r.getMessage() for r in caplog.records if r.levelno >= logging.INFO]
 
 
-def _no_parse(path, schema):
+def _no_parse(path, time_field):
     raise AssertionError(f"{path} was parsed although the binary copy is valid")
 
 
@@ -431,19 +432,19 @@ class TestBinaryCopy:
     def parses(self, monkeypatch):
         """Paths _read_split_file is called on, while it still parses."""
         seen, real = [], graph._read_split_file
-        monkeypatch.setattr(graph, "_read_split_file", lambda path, schema: seen.append(path) or real(path, schema))
+        monkeypatch.setattr(graph, "_read_split_file", lambda path, field: seen.append(path) or real(path, field))
         return seen
 
     @staticmethod
-    def _copy_and_text(root, caplog, monkeypatch, schema=None):
+    def _copy_and_text(root, caplog, monkeypatch, time_field="begin"):
         """root loaded through its copy (parsing forbidden), then by parsing with the copy set aside."""
         with monkeypatch.context() as m:
             m.setattr(graph, "_read_split_file", _no_parse)
-            got = _load_logged(caplog, root, schema)
+            got = _load_logged(caplog, root, time_field)
         aside = root.with_name(root.name + "-copy.bin")
         (root / COPY_NAME).rename(aside)
         try:
-            want = _load_logged(caplog, root, schema)
+            want = _load_logged(caplog, root, time_field)
         finally:
             aside.rename(root / COPY_NAME)
         return got, want
@@ -503,8 +504,7 @@ class TestBinaryCopy:
 
     def test_time_field_end(self, small_synth, tmp_path, caplog, monkeypatch):
         save_dataset(small_synth, tmp_path / "d")
-        schema = LoadSchema(time_field="end")
-        got, want = self._copy_and_text(tmp_path / "d", caplog, monkeypatch, schema)
+        got, want = self._copy_and_text(tmp_path / "d", caplog, monkeypatch, "end")
         self._assert_same(got, want)
 
     def test_edited_split_is_parsed(self, small_synth, tmp_path, caplog, parses):
@@ -514,7 +514,7 @@ class TestBinaryCopy:
             fh.write("newcomer\tr0\te1\t1950\n")
         got = _load_logged(caplog, root)
         assert parses
-        TestColumnWiseLoading._assert_same(got[0], _reference_load(root, LoadSchema()))
+        TestColumnWiseLoading._assert_same(got[0], _reference_load(root))
         assert len(got[0].valid) == len(small_synth.valid) + 1 and "newcomer" in got[0].vocab.entity_names
 
     def test_line_moved_between_splits_is_parsed(self, small_synth, tmp_path, caplog, parses):
@@ -526,7 +526,7 @@ class TestBinaryCopy:
         (root / "valid.txt").write_text(train[-1] + (root / "valid.txt").read_text(encoding="utf-8"), encoding="utf-8")
         got = _load_logged(caplog, root)
         assert parses
-        TestColumnWiseLoading._assert_same(got[0], _reference_load(root, LoadSchema()))
+        TestColumnWiseLoading._assert_same(got[0], _reference_load(root))
         assert len(got[0].train) == len(small_synth.train) - 1
 
     @staticmethod
@@ -566,22 +566,6 @@ class TestBinaryCopy:
         blob = (root / COPY_NAME).read_bytes()
         assert self._rewrite_version(blob, 1) == blob
 
-    @pytest.mark.parametrize(
-        "schema", [LoadSchema(subject_col=2, object_col=0), LoadSchema(begin_col=3, end_col=3, time_field="end")]
-    )
-    def test_other_columns_ignore_the_copy(self, schema, small_synth, tmp_path, caplog, parses):
-        root = tmp_path / "d"
-        save_dataset(small_synth, root)
-        got = _load_logged(caplog, root, schema)
-        assert len(parses) == 3
-        TestColumnWiseLoading._assert_same(got[0], _reference_load(root, schema))
-
-    def test_end_column_inside_the_written_ones_still_fails(self, small_synth, tmp_path):
-        root = tmp_path / "d"
-        save_dataset(small_synth, root)
-        with pytest.raises(DataError, match="unparseable time token"):
-            load_quadruples(root, LoadSchema(end_col=2))
-
     def test_two_saves_are_byte_identical(self, small_synth, tmp_path):
         for name in ("a", "b", "b"):
             save_dataset(small_synth, tmp_path / name)
@@ -596,7 +580,7 @@ class TestBinaryCopy:
         listing = lambda d: {p.name: p.stat().st_mtime_ns for p in d.iterdir()}
         before = listing(root)
         load_quadruples(root)
-        load_quadruples(root, LoadSchema(subject_col=2, object_col=0))
+        load_quadruples(root, "end")
         (root / COPY_NAME).write_bytes(b"TKDS")
         before[COPY_NAME] = (root / COPY_NAME).stat().st_mtime_ns
         load_quadruples(root)

@@ -80,6 +80,7 @@ def _local_endpoint(status, body, headers=None):
     finally:
         server.shutdown()
         thread.join(timeout=5)
+        server.server_close()
 
 
 # Names with every character the prompt flattens, and some it keeps, for the prompt tests.
@@ -622,6 +623,8 @@ class TestNoiseTeacher:
         assert np.all((res.scores >= 0) & (res.scores <= 100))
 
 
+# an unclosed socket (a ResourceWarning, raised in __del__) fails the test
+@pytest.mark.filterwarnings("error::ResourceWarning", "error::pytest.PytestUnraisableExceptionWarning")
 class TestRemoteTeacher:
     def test_needs_endpoint(self):
         with pytest.raises(ValueError):
