@@ -1,15 +1,20 @@
-"""Run configuration: an INI file with strict keys and typed defaults."""
+"""Run configuration: an INI file with strict keys and typed defaults.
+
+Each RunConfig field names its INI key ('section.key'), the type its value
+is read as and its default; that declaration is the only list of keys.
+"""
 from __future__ import annotations
 
 import configparser
 import hashlib
 import logging
-from dataclasses import dataclass, fields
+import math
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 from .distill import DistillConfig
 from .evaluate import MODES, TIE_POLICIES
-from .graph import DataError, read_utf8_text
+from .graph import MAX_DRAW_BOUND, DataError, read_utf8_text
 from .models import BACKBONES
 
 logger = logging.getLogger(__name__)
@@ -30,61 +35,10 @@ MAX_SIZE = 2**63 - 1
 _TRUE = {"1", "true", "yes", "on"}
 _FALSE = {"0", "false", "no", "off"}
 
-# section -> key -> (python type, default, RunConfig attribute)
-_SCHEMA: dict[str, dict[str, tuple]] = {
-    "dataset": {
-        "path": (str, "", "dataset_path"),
-        "time_field": (str, "begin", "time_field"),
-        "synthetic": (bool, False, "synthetic"),
-        "n_entities": (int, 50, "n_entities"),
-        "n_relations": (int, 4, "n_relations"),
-        "n_buckets": (int, 10, "n_buckets"),
-        "n_facts": (int, 1000, "n_facts"),
-        "pattern_strength": (float, 0.9, "pattern_strength"),
-    },
-    "model": {
-        "backbone": (str, "ttranse", "backbone"),
-        "teacher_dim": (int, 400, "teacher_dim"),
-        "student_dim": (int, 25, "student_dim"),
-    },
-    "train": {
-        "batch_size": (int, 1024, "batch_size"),
-        "max_epochs": (int, 10000, "max_epochs"),
-        "lr": (float, 0.1, "lr"),
-        "eps": (float, 1e-8, "eps"),
-        "neg_samples": (int, 10, "neg_samples"),
-        "margin": (float, 1.0, "margin"),
-        "eval_every": (int, 10, "eval_every"),
-    },
-    "distill": {
-        "method": (str, "ours", "method"),
-        "tau": (float, 7.0, "tau"),
-        "alpha_kd": (float, 0.9, "alpha_kd"),
-        "lambda_llm": (float, 0.5, "lambda_llm"),
-        "beta": (float, 0.1, "beta"),
-        "delta": (float, 1.0, "delta"),
-        "llm_topk": (int, 10, "llm_topk"),
-        "phase1_epochs": (int, None, "phase1_epochs"),
-        "phase2_epochs": (int, None, "phase2_epochs"),
-    },
-    "llm": {
-        "mode": (str, "none", "llm_mode"),
-        "endpoint": (str, "", "llm_endpoint"),
-        "model": (str, "", "llm_model"),
-        "timeout": (float, 30.0, "llm_timeout"),
-        "retries": (int, 3, "llm_retries"),
-        "min_interval": (float, 0.0, "llm_min_interval"),
-    },
-    "eval": {
-        "mode": (str, "raw", "eval_mode"),
-        "tie_policy": (str, "pessimistic", "tie_policy"),
-    },
-    "run": {
-        "seed": (int, None, "seed"),
-        "out": (str, "out", "out"),
-        "threads": (int, 1, "threads"),
-    },
-}
+
+def _key(dotted: str, typ, default):
+    """A RunConfig field read from INI key dotted ('section.key') as typ, default when absent."""
+    return field(default=default, metadata={"key": dotted, "type": typ})
 
 
 class ConfigError(Exception):
@@ -95,44 +49,44 @@ class ConfigError(Exception):
 class RunConfig:
     """Everything one pipeline run needs, resolved and validated."""
 
-    dataset_path: str
-    time_field: str
-    synthetic: bool
-    n_entities: int
-    n_relations: int
-    n_buckets: int
-    n_facts: int
-    pattern_strength: float
-    backbone: str
-    teacher_dim: int
-    student_dim: int
-    batch_size: int
-    max_epochs: int
-    lr: float
-    eps: float
-    neg_samples: int
-    margin: float
-    eval_every: int
-    method: str
-    tau: float
-    alpha_kd: float
-    lambda_llm: float
-    beta: float
-    delta: float
-    llm_topk: int
-    phase1_epochs: int | None
-    phase2_epochs: int | None
-    llm_mode: str
-    llm_endpoint: str
-    llm_model: str
-    llm_timeout: float
-    llm_retries: int
-    llm_min_interval: float
-    eval_mode: str
-    tie_policy: str
-    seed: int
-    out: str
-    threads: int
+    dataset_path: str = _key("dataset.path", str, "")
+    time_field: str = _key("dataset.time_field", str, "begin")
+    synthetic: bool = _key("dataset.synthetic", bool, False)
+    n_entities: int = _key("dataset.n_entities", int, 50)
+    n_relations: int = _key("dataset.n_relations", int, 4)
+    n_buckets: int = _key("dataset.n_buckets", int, 10)
+    n_facts: int = _key("dataset.n_facts", int, 1000)
+    pattern_strength: float = _key("dataset.pattern_strength", float, 0.9)
+    backbone: str = _key("model.backbone", str, "ttranse")
+    teacher_dim: int = _key("model.teacher_dim", int, 400)
+    student_dim: int = _key("model.student_dim", int, 25)
+    batch_size: int = _key("train.batch_size", int, 1024)
+    max_epochs: int = _key("train.max_epochs", int, 10000)
+    lr: float = _key("train.lr", float, 0.1)
+    eps: float = _key("train.eps", float, 1e-8)
+    neg_samples: int = _key("train.neg_samples", int, 10)
+    margin: float = _key("train.margin", float, 1.0)
+    eval_every: int = _key("train.eval_every", int, 10)
+    method: str = _key("distill.method", str, "ours")
+    tau: float = _key("distill.tau", float, 7.0)
+    alpha_kd: float = _key("distill.alpha_kd", float, 0.9)
+    lambda_llm: float = _key("distill.lambda_llm", float, 0.5)
+    beta: float = _key("distill.beta", float, 0.1)
+    delta: float = _key("distill.delta", float, 1.0)
+    llm_topk: int = _key("distill.llm_topk", int, 10)
+    phase1_epochs: int | None = _key("distill.phase1_epochs", int, None)
+    phase2_epochs: int | None = _key("distill.phase2_epochs", int, None)
+    llm_mode: str = _key("llm.mode", str, "none")
+    llm_endpoint: str = _key("llm.endpoint", str, "")
+    llm_model: str = _key("llm.model", str, "")
+    llm_timeout: float = _key("llm.timeout", float, 30.0)
+    llm_retries: int = _key("llm.retries", int, 3)
+    llm_min_interval: float = _key("llm.min_interval", float, 0.0)
+    eval_mode: str = _key("eval.mode", str, "raw")
+    tie_policy: str = _key("eval.tie_policy", str, "pessimistic")
+    seed: int = _key("run.seed", int, None)
+    out: str = _key("run.out", str, "out")
+    threads: int = _key("run.threads", int, 1)
 
     def distill_phases(self) -> tuple[int, int]:
         """Resolved (phase1, phase2) epoch counts.
@@ -212,10 +166,12 @@ def _validate(cfg: RunConfig) -> None:
         _fail("train.max_epochs", "must be nonnegative")
     if not cfg.lr > 0:
         _fail("train.lr", "must be positive")
-    if not cfg.eps > 0:
-        _fail("train.eps", "must be positive")
+    if not 0 < cfg.eps < math.inf:
+        _fail("train.eps", f"must be positive and finite, got {cfg.eps}")
     if not 1 <= cfg.neg_samples <= MAX_SIZE:
         _fail("train.neg_samples", f"must lie in [1, {MAX_SIZE}], got {cfg.neg_samples}")
+    if not math.isfinite(cfg.margin):
+        _fail("train.margin", f"must be finite, got {cfg.margin}")
     if cfg.eval_every < 1:
         _fail("train.eval_every", "must be at least 1")
     if cfg.synthetic:
@@ -227,6 +183,8 @@ def _validate(cfg: RunConfig) -> None:
         ):
             if val < 1:
                 _fail(key, f"must be at least 1, got {val}")
+            if val > MAX_DRAW_BOUND and key != "dataset.n_facts":
+                _fail(key, f"must be at most 2**63, the largest bound NumPy draws below, got {val}")
         if not (0.0 <= cfg.pattern_strength <= 1.0):
             _fail("dataset.pattern_strength", "must lie in [0, 1]")
     elif not cfg.dataset_path:
@@ -276,24 +234,22 @@ def parse_config(path: str | Path, overrides: dict[str, str] | None = None) -> R
     except configparser.Error as exc:
         raise ConfigError(f"{path}: {exc}") from None
 
-    values = {sec: {key: spec[1] for key, spec in keys.items()} for sec, keys in _SCHEMA.items()}
+    specs = {f.metadata["key"]: f for f in fields(RunConfig)}
+    sections = {dotted.partition(".")[0] for dotted in specs}
+    kwargs = {}
+
+    def put(dotted: str, raw: str) -> None:
+        if dotted not in specs:
+            raise ConfigError(f"unknown config key {dotted}")
+        kwargs[specs[dotted].name] = _coerce(raw, specs[dotted].metadata["type"], dotted)
+
     for sec in parser.sections():
-        if sec not in _SCHEMA:
+        if sec not in sections:
             raise ConfigError(f"unknown config section [{sec}]")
         for key, raw in parser[sec].items():
-            if key not in _SCHEMA[sec]:
-                raise ConfigError(f"unknown config key {sec}.{key}")
-            values[sec][key] = _coerce(raw, _SCHEMA[sec][key][0], f"{sec}.{key}")
+            put(f"{sec}.{key}", raw)
     for dotted, raw in (overrides or {}).items():
-        sec, _, key = dotted.partition(".")
-        if sec not in _SCHEMA or key not in _SCHEMA[sec]:
-            raise ConfigError(f"unknown config key {dotted}")
-        values[sec][key] = _coerce(str(raw), _SCHEMA[sec][key][0], dotted)
-
-    kwargs = {}
-    for sec, keys in _SCHEMA.items():
-        for key, (_typ, _default, attr) in keys.items():
-            kwargs[attr] = values[sec][key]
+        put(dotted, str(raw))
     cfg = RunConfig(**kwargs)
     _validate(cfg)
     return cfg

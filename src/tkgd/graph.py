@@ -45,6 +45,10 @@ logger = logging.getLogger(__name__)
 
 SPLIT_NAMES = ("train", "valid", "test")
 
+# The largest entity, relation and bucket count generate_synthetic takes: the
+# largest high that Generator.integers(0, high) accepts.
+MAX_DRAW_BOUND = 2**63
+
 # The binary copy save_dataset writes next to the split files.  Layout: 4-byte
 # magic, 4-byte little-endian header length, UTF-8 JSON header, the train,
 # valid and test id arrays as little-endian int64 rows, then a 32-byte SHA-256
@@ -919,7 +923,7 @@ def generate_synthetic(
     """
     if min(n_entities, n_relations, n_buckets, n_facts) < 1:
         raise DataError("entity, relation, bucket and fact counts must all be positive")
-    if max(n_entities, n_relations, n_buckets) > 2**63:
+    if max(n_entities, n_relations, n_buckets) > MAX_DRAW_BOUND:
         raise DataError("entity, relation and bucket counts must be at most 2**63, the largest bound NumPy draws below")
     if not (0.0 <= pattern_strength <= 1.0):
         raise DataError(f"pattern_strength must lie in [0, 1], got {pattern_strength}")

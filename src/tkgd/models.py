@@ -354,7 +354,6 @@ class GradAccum:
     """
 
     def __init__(self, params: Params):
-        self._params = params
         self._tables = params.tables()
         self._buf: dict[str, np.ndarray] = {}
         self._touched: dict[str, np.ndarray] = {}

@@ -114,7 +114,7 @@ def adagrad_step(
     """One in-place Adagrad update.
 
     accum += grad**2; values -= lr * grad / (sqrt(accum) + eps), for lr > 0
-    and eps > 0 (either not positive raises ValueError).
+    and finite eps > 0 (lr <= 0, or eps outside (0, inf), raises ValueError).
 
     With rows given, grad holds one row per entry of rows and only those rows
     of the parameter are touched; all other rows keep their values and
@@ -122,8 +122,8 @@ def adagrad_step(
     """
     if lr <= 0:
         raise ValueError(f"learning rate must be positive, got {lr}")
-    if not eps > 0:
-        raise ValueError(f"epsilon must be positive, got {eps}")
+    if not 0 < eps < np.inf:
+        raise ValueError(f"epsilon must be positive and finite, got {eps}")
     g = np.asarray(grad, dtype=param.values.dtype)
     if not np.all(np.isfinite(g)):
         raise ValueError("gradient contains non-finite entries")

@@ -7,6 +7,7 @@ import os
 import re
 import subprocess
 import sys
+from dataclasses import fields
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -16,6 +17,7 @@ import pytest
 from tkgd import cli
 from tkgd.checkpoint import load_checkpoint
 from tkgd.cli import main
+from tkgd.config import RunConfig
 from tkgd.graph import generate_synthetic, save_dataset
 from tkgd.models import init_params
 
@@ -399,6 +401,51 @@ class TestFailureModes:
         assert main([command, "--config", cfg]) == 1
         err = capsys.readouterr().err
         assert len(err.splitlines()) == 1 and err.startswith(f"error: {section}.{key}: ")
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("key", ["n_entities", "n_relations", "n_buckets"])
+    @pytest.mark.parametrize("value", [2**63 + 1, 10**23])
+    def test_synthetic_count_past_draw_bound_refused(self, tmp_path, monkeypatch, capsys, key, value):
+        monkeypatch.chdir(tmp_path)
+        cfg = _write(tmp_path, _with(BASE_CONFIG, **{key: str(value)}))
+        capsys.readouterr()
+        assert main(["prepare", "--config", cfg]) == 1
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1 and err.startswith(f"error: dataset.{key}: ") and "2**63" in err
+        assert "Traceback" not in err
+
+    def test_entity_count_at_draw_bound_accepted(self, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        assert main(["prepare", "--config", _write(tmp_path, _with(BASE_CONFIG, n_entities=str(2**63)))]) == 0
+
+    @pytest.mark.parametrize("key, value", [("eps", "inf"), ("margin", "nan"), ("margin", "inf"), ("margin", "-inf")])
+    def test_nonfinite_training_value_refused(self, tmp_path, monkeypatch, capsys, key, value):
+        # margin = nan made every loss 0 and eps = inf every Adagrad step 0: nothing trained, exit 0
+        monkeypatch.chdir(tmp_path)
+        cfg = _write(tmp_path, BASE_CONFIG.replace("[train]\n", f"[train]\n{key} = {value}\n"))
+        capsys.readouterr()
+        assert main(["train-teacher", "--config", cfg]) == 1
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1 and err.startswith(f"error: train.{key}: ")
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize(
+        "dotted, value",
+        [
+            (f.metadata["key"], {int: "abc", float: "abc", bool: "maybe"}[f.metadata["type"]])
+            for f in fields(RunConfig)
+            if f.metadata["type"] is not str
+        ],
+    )
+    def test_unreadable_value_names_its_key(self, tmp_path, monkeypatch, capsys, dotted, value):
+        # every declared key that is not a string, so a key added later is swept too
+        monkeypatch.chdir(tmp_path)
+        section, _, key = dotted.partition(".")
+        cfg = _write(tmp_path, f"[{section}]\n{key} = {value}\n")
+        capsys.readouterr()
+        assert main(["prepare", "--config", cfg]) == 1
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1 and err.startswith(f"error: {dotted}: ")
         assert "Traceback" not in err
 
     def test_time_field_must_be_begin_or_end(self, tmp_path, monkeypatch, capsys):

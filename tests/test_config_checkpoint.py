@@ -1,18 +1,21 @@
 """Config parsing/validation and the binary checkpoint format."""
+import configparser
 import logging
 import os
 import re
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from tkgd.checkpoint import CheckpointError, export_embeddings, load_checkpoint, save_checkpoint
-from tkgd.config import ConfigError, parse_config
+from tkgd.config import ConfigError, RunConfig, parse_config
 from tkgd.graph import Vocabulary
 from tkgd.models import GATES, TADistMultParams, init_params
 
 GATE_SLICE_CKPT = Path(__file__).parent / "fixtures" / "tadistmult_gates.ckpt"
+EXAMPLE_CONFIG = Path(__file__).resolve().parents[1] / "configs" / "example.ini"
 
 
 def _write_config(tmp_path, text, name="run.ini"):
@@ -102,6 +105,16 @@ class TestParseConfig:
         path = _write_config(tmp_path, MINIMAL)
         with pytest.raises(ConfigError, match="model.hidden"):
             parse_config(path, overrides={"model.hidden": "4"})
+
+    def test_negative_margin_accepted(self, tmp_path):
+        assert parse_config(_write_config(tmp_path, MINIMAL + "\n[train]\nmargin = -0.5\n")).margin == -0.5
+
+    def test_example_shows_every_declared_key(self):
+        # its header promises every key; a key declared or dropped without it fails here
+        parser = configparser.ConfigParser(interpolation=None)
+        parser.read_string(EXAMPLE_CONFIG.read_text(encoding="utf-8"))
+        shown = {f"{section}.{key}" for section in parser.sections() for key in parser[section]}
+        assert shown == {f.metadata["key"] for f in fields(RunConfig)}
 
     def test_inverted_capacity_gap_warns_but_parses(self, tmp_path, caplog):
         text = MINIMAL + "\n[model]\nteacher_dim = 8\nstudent_dim = 25\n"

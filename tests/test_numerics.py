@@ -129,11 +129,11 @@ class TestAdagrad:
         assert p.values[0] == pytest.approx(-1.0 - 1.0 / np.sqrt(2.0), abs=4e-8)
 
     @pytest.mark.parametrize("rows", [None, np.array([1])])
-    @pytest.mark.parametrize("eps", [0.0, -1e-8])
+    @pytest.mark.parametrize("eps", [0.0, -1e-8, np.inf])
     def test_eps_must_be_positive(self, eps, rows):
         p = ParamTensor(np.ones(2))
         grad = np.ones(2) if rows is None else np.ones(1)
-        with pytest.raises(ValueError, match=f"epsilon must be positive, got {eps}"):
+        with pytest.raises(ValueError, match=f"epsilon must be positive and finite, got {eps}"):
             adagrad_step(p, grad, lr=1.0, eps=eps, rows=rows)
         np.testing.assert_array_equal(p.values, np.ones(2))
         assert not p.accum.any()
